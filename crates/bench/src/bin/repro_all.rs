@@ -29,7 +29,7 @@ use nls_bench::{fmt, ledger_path, parse_timeout_secs, sweep_config, Table};
 use nls_core::{
     average, cross, install_signal_token, paper_caches, run_sweep_supervised, Budget,
     CancelToken, EngineSpec, Ledger, LedgerFile, NlsError, PenaltyModel, RunError, RunSpec,
-    SimResult, SweepOptions, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
+    SimResult, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
 };
 use nls_icache::CacheConfig;
 use nls_trace::BenchProfile;
@@ -245,9 +245,9 @@ fn main() {
         runs.iter().map(RunSpec::key),
     );
     let budget = Budget::unlimited().with_cancel(token.clone());
-    let sweep = file.init(fresh, resume).and_then(|_| {
-        run_sweep_supervised(&runs, &cfg, &SweepOptions::default(), &budget, Some(&file))
-    });
+    let sweep = file
+        .init(fresh, resume)
+        .and_then(|_| run_sweep_supervised(&runs, &cfg, &budget, Some(&file)));
     let outcomes = match sweep {
         Ok(outcomes) => outcomes,
         Err(e) => {

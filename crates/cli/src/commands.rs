@@ -17,9 +17,13 @@
 //! subprocesses (`--workers N`, by default one per core) claim cells
 //! from a crash-safe work ledger; the parent fans SIGTERM out to them
 //! on its own signal and merges the per-cell metrics
-//! deterministically, so the merged output is bit-for-bit identical
-//! to the in-memory sweep's, and an interrupted sweep resumes with
-//! `--resume`.
+//! deterministically, so under an unlimited budget the merged output
+//! is bit-for-bit identical to the in-memory sweep's, and an
+//! interrupted sweep resumes with `--resume`. A per-cell limit
+//! (`--max-records`, `--max-heap-mb`) makes the two differ: the
+//! in-memory sweep prints each stopped cell's partial rows with a note
+//! and exits 0, while the ledger publishes only complete cells, so the
+//! ledger sweep leaves the cell unfinished and exits 7.
 //! `nls soak --kill-workers` is the standing drill for that
 //! machinery: it SIGKILLs a seeded selection of workers mid-sweep
 //! and requires the survivors to reclaim every orphaned lease.
@@ -36,7 +40,7 @@ use nls_core::{
     install_signal_token, merge_ledger_outcomes, oracle, paper_caches, run_ledger_worker,
     run_one_supervised, run_sweep, run_sweep_supervised, Budget, CancelToken, Cell, CellState,
     EngineSpec, Ledger, LedgerFile, NlsError, PenaltyModel, RunError, RunSpec, SweepConfig,
-    SweepOptions, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
 };
 use nls_cost::access_time::{btb_access_ns, tagless_access_ns, TimingProcess};
 use nls_cost::rbe::{btb_rbe, nls_cache_rbe, nls_table_rbe, CacheGeometry};
@@ -435,8 +439,7 @@ pub fn sweep_worker(a: &ParsedArgs) -> Result<String, NlsError> {
     let token = install_signal_token();
     let budget = budget_from(a, token.clone())?;
     let file = LedgerFile::new(path);
-    let opts = SweepOptions::default();
-    let report = run_ledger_worker(&runs, &cfg, &opts, &budget, &file, &worker, workers)?;
+    let report = run_ledger_worker(&runs, &cfg, &budget, &file, &worker, workers)?;
     eprintln!(
         "worker {worker}: {} cell(s) completed in {} claim(s) ({} reclaimed), {} failed attempt(s)",
         report.completed, report.claims, report.reclaimed, report.failed_attempts
@@ -544,8 +547,11 @@ pub fn simulate(a: &ParsedArgs) -> Result<String, NlsError> {
 ///
 /// With `--ledger` every completed cell is published to the work
 /// ledger; rerunning with `--resume` skips the recorded cells and
-/// reproduces an uninterrupted sweep bit-for-bit. SIGINT/SIGTERM (or
-/// a tripped budget) stops claiming cells and exits with code 7.
+/// reproduces an uninterrupted sweep bit-for-bit. SIGINT/SIGTERM, or
+/// a tripped budget that keeps a cell from starting, stops claiming
+/// cells and exits with code 7. A budget that stops a started cell
+/// prints its partial rows with a note in memory (exit 0) and leaves
+/// it unfinished in the ledger (exit 7).
 ///
 /// # Errors
 ///
@@ -583,7 +589,7 @@ pub fn sweep(a: &ParsedArgs) -> Result<String, NlsError> {
 
     let token = install_signal_token();
     let budget = budget_from(a, token.clone())?;
-    let outcomes = run_sweep_supervised(&runs, &cfg, &SweepOptions::default(), &budget, None)?;
+    let outcomes = run_sweep_supervised(&runs, &cfg, &budget, None)?;
 
     let total = outcomes.len();
     let mut results = Vec::new();

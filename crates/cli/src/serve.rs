@@ -48,8 +48,7 @@ use nls_core::{
     cross, install_signal_token, json_string, merge_ledger_outcomes, oracle, paper_caches,
     run_ledger_worker, run_one, AdmitOutcome, Budget, CancelToken, EngineSpec, Job, JobKind,
     JobLimits, JobSpec, JobStatus, Ledger, LedgerFile, NlsError, Registry, ResultCache,
-    RunError, RunSpec, SimResult, SweepConfig, SweepOptions, DEFAULT_LEASE_MS,
-    DEFAULT_MAX_ATTEMPTS,
+    RunError, RunSpec, SimResult, SweepConfig, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
 };
 use nls_icache::CacheConfig;
 use nls_trace::faults::{ChaosScheduler, RuntimeFault};
@@ -775,7 +774,7 @@ fn run_claimed(ctx: &ServeCtx, worker: &str, job: Job) {
         return;
     }
     let budget = budget_for(&job.limits, ctx.job_token.clone());
-    match run_ledger_worker(&runs, &cfg, &SweepOptions::default(), &budget, &file, worker, 1) {
+    match run_ledger_worker(&runs, &cfg, &budget, &file, worker, 1) {
         Ok(_report) => publish(ctx, &job, &runs, &cfg, &file),
         Err(NlsError::Interrupted(reason)) => {
             if ctx.job_token.is_cancelled() || ctx.registry.draining() {

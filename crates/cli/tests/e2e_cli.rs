@@ -357,6 +357,29 @@ fn deadline_budget_degrades_with_a_note_not_a_crash() {
     assert!(text.contains("deadline"), "{text}");
 }
 
+/// A record budget stops every cell of a sweep after 100 records. In
+/// memory the sweep prints the partial rows with a note and exits 0;
+/// a `--ledger` sweep publishes only complete cells, so it leaves the
+/// cell unfinished and exits 7. Both behaviours are pinned here until
+/// one is chosen for every sweep.
+#[test]
+fn a_record_budget_truncates_an_in_memory_sweep_but_interrupts_a_ledger_sweep() {
+    let sweep =
+        ["sweep", "--bench", "li", "--len", "10k", "--cache", "8K:1", "--max-records", "100"];
+    let out = nls(&sweep);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(text.lines().filter(|l| l.starts_with("li ")).count(), 2, "{text}");
+    assert!(text.contains("stopped early: record budget of 100"), "{text}");
+
+    let ledger = temp_path("record-budget-ledger.json");
+    let out = nls(&[&sweep[..], &["--ledger", ledger.to_str().unwrap()]].concat());
+    assert_eq!(out.status.code(), Some(7), "{}", stderr(&out));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert!(stderr(&out).contains("sweep stopped after 0/1 cells"), "{}", stderr(&out));
+    let _ = std::fs::remove_file(&ledger);
+}
+
 #[test]
 fn soak_command_is_healthy_and_exits_zero() {
     let out = nls(&["soak", "--cases", "2", "--len", "10k", "--faults", "3"]);

@@ -1,12 +1,13 @@
 //! The BTB-based fetch architecture (paper §3, Figure 1).
 
-use nls_icache::{CacheConfig, InstructionCache};
+use nls_icache::CacheConfig;
 use nls_predictors::{Btb, BtbConfig, Pht, ReturnStack};
 use nls_trace::{BreakKind, TraceRecord};
 
 use crate::engine::{resolve, BreakOutcome, FetchAction, FetchEngine};
-use crate::front_end::{cache_state_bytes, direction, pht_entries, Alone, RAS_BYTES};
+use crate::front_end::{cache_state_bytes, direction, pht_entries, Cells, RAS_BYTES};
 use crate::metrics::SimResult;
+use crate::spec::EngineSpec;
 
 /// The decoupled BTB + PHT + return-stack front end.
 ///
@@ -31,19 +32,14 @@ use crate::metrics::SimResult;
 /// assert_eq!(result.misfetches, 1);
 /// ```
 #[derive(Debug)]
-pub struct BtbEngine(Alone);
+pub struct BtbEngine(pub(crate) Cells);
 
 impl BtbEngine {
     /// An engine with the paper's shared predictors (4096-entry
-    /// gshare PHT, 32-entry return stack).
+    /// gshare PHT, 32-entry return stack); [`EngineSpec::build`] takes
+    /// other PHTs.
     pub fn new(btb: BtbConfig, cache: CacheConfig) -> Self {
-        Self::with_pht(btb, cache, Pht::paper())
-    }
-
-    /// An engine with a custom direction predictor (for PHT
-    /// ablations).
-    pub fn with_pht(btb: BtbConfig, cache: CacheConfig, pht: Pht) -> Self {
-        BtbEngine(Alone::free(cache, pht, BtbCore::new(btb, 0)))
+        BtbEngine(Cells::alone(cache, EngineSpec::btb(btb.entries, btb.assoc)))
     }
 
     /// Policy ablation: evict a conditional branch's entry when it
@@ -57,11 +53,6 @@ impl BtbEngine {
         }
         self
     }
-
-    /// The instruction cache (for inspection in tests/diagnostics).
-    pub fn cache(&self) -> &InstructionCache {
-        self.0.cache()
-    }
 }
 
 impl FetchEngine for BtbEngine {
@@ -74,7 +65,7 @@ impl FetchEngine for BtbEngine {
     }
 
     fn step_block(&mut self, block: &[TraceRecord]) {
-        self.0.step_block(block);
+        self.0.step_block(block, &[true]);
     }
 
     fn result(&self, bench: &str) -> SimResult {
@@ -82,7 +73,7 @@ impl FetchEngine for BtbEngine {
     }
 
     fn approx_heap_bytes(&self) -> u64 {
-        self.0.approx_heap_bytes()
+        self.0.heap_bytes().sum()
     }
 }
 
@@ -119,9 +110,8 @@ impl BtbCore {
         }
     }
 
-    /// What this engine holds alone on `cache`, as
-    /// [`Hooks::heap_bytes`](crate::front_end::Hooks::heap_bytes)
-    /// counts it.
+    /// What this engine holds alone on `cache`, reading the walk's
+    /// `phts`.
     pub(crate) fn heap_bytes(&self, cache: &CacheConfig, phts: &[Pht]) -> u64 {
         Self::state_bytes(cache, self.btb.config().entries, pht_entries(phts, self.pht))
     }

@@ -32,17 +32,20 @@
 //!
 //! 1. one tag probe, skipped when the run is on the line this cell
 //!    probed last ([`InstructionCache::access_last`]);
-//! 2. on a miss, every engine's [`Hooks::refill`];
-//! 3. after a break, every engine's [`Hooks::fetch`], which commits
-//!    the predictor update that waited for the break's successor
-//!    from the frame the successor was just fetched into;
-//! 4. for a break, every engine's [`Hooks::resolve`] against the
-//!    read-only cache and the walk's PHT directions, and each
-//!    cache-free engine's outcome added to the cell's counters.
+//! 2. on a miss, every engine's `refill`;
+//! 3. after a break, every engine's `fetch`, which commits the
+//!    predictor update that waited for the break's successor from the
+//!    frame the successor was just fetched into;
+//! 4. for a break, every engine's `resolve` against the read-only
+//!    cache and the walk's PHT directions, and each cache-free
+//!    engine's outcome added to the cell's counters.
 //!
-//! [`Cell`] is a walk of one spec-built cell, [`Cells`] a walk of
-//! several, and each public engine type ([`BtbEngine`](crate::BtbEngine)
-//! and the others) a walk of one engine ([`Alone`]).
+//! The cell reaches its engines through one `match` per hook on
+//! [`Member`]. Every walk is a [`Cells`], built from engine specs by
+//! one [`Builder`]: a sweep claim's several cells, the one cell of a
+//! [`Cell`], and the one engine of each public engine type
+//! ([`BtbEngine`](crate::BtbEngine) and the others,
+//! [`Cells::alone`]).
 
 use nls_icache::{CacheConfig, InstructionCache};
 use nls_predictors::{BtbConfig, DirectionPredictor, LinePointer, Pht, ReturnStack};
@@ -76,56 +79,6 @@ impl Frame {
             inst: u8::try_from(pc.offset_in_line(cache.line_bytes)).unwrap_or(u8::MAX),
         }
     }
-}
-
-/// The per-engine part of a cache-coupled engine (NLS-table,
-/// NLS-cache, Johnson): its fetch predictor, return stack, pending
-/// update and counters, reached through these hooks. The cache stays
-/// with the cell and the PHTs with the walk: `dirs` holds the walk's
-/// PHT directions at the record in hand, and an engine reads the one
-/// its spec names ([`direction`]).
-pub(crate) trait Hooks {
-    /// Display label (e.g. `"1024 NLS table"`).
-    fn label(&self) -> String;
-
-    /// The break counters accumulated so far.
-    fn counters(&self) -> &Counters;
-
-    /// Approximate bytes of simulation state this engine holds alone:
-    /// its cache and PHT counted as its own, so heap-budget outcomes
-    /// do not depend on which engines share them. Each engine feeds
-    /// its own sizes to the formula an unbuilt spec uses
-    /// ([`EngineSpec::state_bytes`]), so a sweep sizes a claim of
-    /// cells without allocating them.
-    fn heap_bytes(&self, cache: &CacheConfig, phts: &[Pht]) -> u64;
-
-    /// True when every record, not only a break's successor, must
-    /// reach [`fetch`](Hooks::fetch) (the decode-assist type
-    /// predictor trains on each).
-    fn every_record(&self) -> bool {
-        false
-    }
-
-    /// A fetch missed and refilled `at`; engines whose predictors
-    /// live in cache frames drop the departed line's here.
-    fn refill(&mut self, _at: Frame) {}
-
-    /// `r` was fetched into `at` right after a break (or is any
-    /// record, for an engine that asks for
-    /// [`every_record`](Hooks::every_record)): commit the predictor
-    /// update that waited for the successor's location.
-    fn fetch(&mut self, r: &TraceRecord, at: Frame, cache: &InstructionCache, dirs: &[bool]);
-
-    /// Resolves break `r`, fetched from `at`, against the read-only
-    /// cache and the walk's PHT directions, and records the outcome.
-    fn resolve(
-        &mut self,
-        r: &TraceRecord,
-        kind: BreakKind,
-        at: Frame,
-        cache: &InstructionCache,
-        dirs: &[bool],
-    ) -> BreakOutcome;
 }
 
 /// The direction the walk's PHT `pht` predicts, out of `dirs`, the
@@ -237,12 +190,7 @@ impl WalkHalf {
 
     /// Feeds `block` to each cell whose `running` flag is set: chunk
     /// by chunk, the walk's pass and then each running cell's.
-    pub(crate) fn step_block<M: AsRef<[Member]> + AsMut<[Member]>>(
-        &mut self,
-        cells: &mut [CellHalf<M>],
-        block: &[TraceRecord],
-        running: &[bool],
-    ) {
+    fn step_block(&mut self, cells: &mut [CellHalf], block: &[TraceRecord], running: &[bool]) {
         let every = cells.iter().any(CellHalf::every_record);
         for chunk in block.chunks(BLOCK_RECORDS) {
             self.pass(chunk, every);
@@ -310,7 +258,11 @@ impl WalkHalf {
 }
 
 /// An engine of a cell, as the cell half dispatches it: a closed set
-/// with one `match` per per-record hook.
+/// with one `match` per per-record hook. A cache-coupled engine keeps
+/// its fetch predictor, return stack, pending update and counters;
+/// the cache stays with the cell and the PHTs with the walk, whose
+/// directions at the record in hand (`dirs`) each engine reads at the
+/// index its spec names ([`direction`]).
 #[derive(Debug)]
 pub(crate) enum Member {
     /// A cache-free engine the walk steps: its index in the walk's
@@ -319,19 +271,6 @@ pub(crate) enum Member {
     NlsTable(NlsTableCore),
     NlsCache(NlsCacheCore),
     Johnson(JohnsonCore),
-}
-
-/// One member is the engine list of a one-engine cell.
-impl AsRef<[Member]> for Member {
-    fn as_ref(&self) -> &[Member] {
-        std::slice::from_ref(self)
-    }
-}
-
-impl AsMut<[Member]> for Member {
-    fn as_mut(&mut self) -> &mut [Member] {
-        std::slice::from_mut(self)
-    }
 }
 
 impl Member {
@@ -353,6 +292,12 @@ impl Member {
         }
     }
 
+    /// Approximate bytes of simulation state this engine holds alone:
+    /// its cache and PHT counted as its own, so heap-budget outcomes do
+    /// not depend on which engines share them. Each engine feeds its
+    /// own sizes to the formula an unbuilt spec uses
+    /// ([`EngineSpec::state_bytes`]), so a sweep sizes a claim of
+    /// cells without allocating them.
     fn heap_bytes(&self, cache: &CacheConfig, walk: &WalkHalf) -> u64 {
         match self {
             Member::Free(i, _) => {
@@ -360,10 +305,13 @@ impl Member {
             }
             Member::NlsTable(e) => e.heap_bytes(cache, &walk.phts),
             Member::NlsCache(e) => e.heap_bytes(cache, &walk.phts),
-            Member::Johnson(e) => e.heap_bytes(cache, &walk.phts),
+            Member::Johnson(e) => e.heap_bytes(cache),
         }
     }
 
+    /// True when every record, not only a break's successor, must
+    /// reach [`fetch`](Member::fetch) (the decode-assist type
+    /// predictor trains on each).
     fn every_record(&self) -> bool {
         match self {
             Member::NlsTable(e) => e.every_record(),
@@ -371,6 +319,8 @@ impl Member {
         }
     }
 
+    /// A fetch missed and refilled `at`; engines whose predictors
+    /// live in cache frames drop the departed line's here.
     #[inline]
     fn refill(&mut self, at: Frame) {
         match self {
@@ -380,18 +330,24 @@ impl Member {
         }
     }
 
+    /// `r` was fetched into `at` right after a break (or is any
+    /// record, for an engine that asks for
+    /// [`every_record`](Member::every_record)): commit the predictor
+    /// update that waited for the successor's location.
     #[inline]
     fn fetch(&mut self, r: &TraceRecord, at: Frame, cache: &InstructionCache, dirs: &[bool]) {
         match self {
             Member::Free(..) => {}
             Member::NlsTable(e) => e.fetch(r, at, cache, dirs),
-            Member::NlsCache(e) => e.fetch(r, at, cache, dirs),
-            Member::Johnson(e) => e.fetch(r, at, cache, dirs),
+            Member::NlsCache(e) => e.fetch(r, at, cache),
+            Member::Johnson(e) => e.fetch(r, at, cache),
         }
     }
 
-    /// Resolves break `r`; a cache-free engine's outcome is the
-    /// walk's, out of `outcomes`, and is added to this cell's counts.
+    /// Resolves break `r`, fetched from `at`, against the read-only
+    /// cache and the walk's PHT directions, and records the outcome; a
+    /// cache-free engine's outcome is the walk's, out of `outcomes`,
+    /// and is added to this cell's counts.
     #[inline]
     fn resolve(
         &mut self,
@@ -408,18 +364,17 @@ impl Member {
                 counters.record(outcome, kind);
                 outcome
             }
-            Member::NlsTable(e) => e.resolve(r, kind, at, cache, dirs),
+            Member::NlsTable(e) => e.resolve(r, kind, cache, dirs),
             Member::NlsCache(e) => e.resolve(r, kind, at, cache, dirs),
-            Member::Johnson(e) => e.resolve(r, kind, at, cache, dirs),
+            Member::Johnson(e) => e.resolve(r, kind, at, cache),
         }
     }
 }
 
 /// The cell half of a front end: one cell's cache, its instruction
-/// count and its engines, as a member list `M` (one [`Member`] for an
-/// adapter, a `Vec` for a spec-built cell).
+/// count and its engines.
 #[derive(Debug)]
-pub(crate) struct CellHalf<M> {
+pub(crate) struct CellHalf {
     cache: InstructionCache,
     /// The walk's run scan for this cache's line size.
     scan: usize,
@@ -432,11 +387,11 @@ pub(crate) struct CellHalf<M> {
     /// it went into. Only this cell's accesses touch its cache, so the
     /// line stays there, most recently used, until the next one.
     last: Option<(u64, Frame)>,
-    members: M,
+    members: Vec<Member>,
 }
 
-impl<M: AsRef<[Member]> + AsMut<[Member]>> CellHalf<M> {
-    fn new(cache: CacheConfig, scan: usize, members: M) -> Self {
+impl CellHalf {
+    fn new(cache: CacheConfig, scan: usize, members: Vec<Member>) -> Self {
         CellHalf {
             shift: line_shift(&cache),
             cache: InstructionCache::new(cache),
@@ -449,7 +404,7 @@ impl<M: AsRef<[Member]> + AsMut<[Member]>> CellHalf<M> {
     }
 
     fn every_record(&self) -> bool {
-        self.members.as_ref().iter().any(Member::every_record)
+        self.members.iter().any(Member::every_record)
     }
 
     /// Steps this cell through `chunk`, which the walk half has just
@@ -473,7 +428,13 @@ impl<M: AsRef<[Member]> + AsMut<[Member]>> CellHalf<M> {
     /// under every replacement policy that equals probing, because the
     /// line is still resident and most recently used. Every real
     /// access, `reuse` or not, records its line for the next run.
-    #[inline]
+    ///
+    /// This and [`resolve_all`](CellHalf::resolve_all) are always
+    /// inlined into the per-run loop, and the engine hooks they reach
+    /// through [`Member`] never are, so the loop's code does not depend
+    /// on which codegen unit the compiler puts each engine in: left to
+    /// the inliner, one placement made sweeps 5–10 % slower.
+    #[inline(always)]
     fn fetch(
         &mut self,
         first: &TraceRecord,
@@ -498,14 +459,13 @@ impl<M: AsRef<[Member]> + AsMut<[Member]>> CellHalf<M> {
                 (at, acc.hit)
             }
         };
-        let members = self.members.as_mut();
         if !hit {
-            for m in members.iter_mut() {
+            for m in &mut self.members {
                 m.refill(at);
             }
         }
         if self.successor_due || every {
-            for m in members.iter_mut() {
+            for m in &mut self.members {
                 m.fetch(first, at, &self.cache, dirs);
             }
         }
@@ -515,7 +475,7 @@ impl<M: AsRef<[Member]> + AsMut<[Member]>> CellHalf<M> {
 
     /// Resolves break `r`, fetched from `at`, for every engine;
     /// returns the last engine's outcome.
-    #[inline]
+    #[inline(always)]
     fn resolve_all(
         &mut self,
         r: &TraceRecord,
@@ -525,7 +485,7 @@ impl<M: AsRef<[Member]> + AsMut<[Member]>> CellHalf<M> {
         outcomes: &[BreakOutcome],
     ) -> Option<BreakOutcome> {
         let mut last = None;
-        for m in self.members.as_mut() {
+        for m in &mut self.members {
             last = Some(m.resolve(r, kind, at, &self.cache, dirs, outcomes));
         }
         last
@@ -535,7 +495,7 @@ impl<M: AsRef<[Member]> + AsMut<[Member]>> CellHalf<M> {
     /// refuses a cell exactly when it refuses the same engines built
     /// one by one.
     fn heap_bytes(&self, walk: &WalkHalf) -> u64 {
-        self.members.as_ref().iter().map(|m| m.heap_bytes(self.cache.config(), walk)).sum()
+        self.members.iter().map(|m| m.heap_bytes(self.cache.config(), walk)).sum()
     }
 
     /// Member `m`'s counters and this cell's cache statistics as the
@@ -557,7 +517,7 @@ impl<M: AsRef<[Member]> + AsMut<[Member]>> CellHalf<M> {
 
     /// One result per engine, in order, labelled `bench`.
     fn results(&self, walk: &WalkHalf, bench: &str) -> Vec<SimResult> {
-        self.members.as_ref().iter().map(|m| self.result(m, walk, bench)).collect()
+        self.members.iter().map(|m| self.result(m, walk, bench)).collect()
     }
 }
 
@@ -582,7 +542,7 @@ fn index_of<T: PartialEq>(list: &mut Vec<T>, item: T) -> usize {
 
 impl Builder {
     /// The cell half of the engines `specs`, in order, on `cache`.
-    fn cell(&mut self, cache: CacheConfig, specs: &[EngineSpec]) -> CellHalf<Vec<Member>> {
+    fn cell(&mut self, cache: CacheConfig, specs: &[EngineSpec]) -> CellHalf {
         let scan = index_of(&mut self.shifts, line_shift(&cache));
         let members = specs
             .iter()
@@ -618,82 +578,6 @@ impl Builder {
                 .collect(),
             &self.shifts,
         )
-    }
-}
-
-/// One engine on a walk of its own: the body of every public
-/// one-engine adapter ([`BtbEngine`](crate::BtbEngine) and the
-/// others).
-#[derive(Debug)]
-pub(crate) struct Alone {
-    walk: WalkHalf,
-    cell: CellHalf<Member>,
-}
-
-impl Alone {
-    /// The cache-free `engine`, reading `pht`, on `cache`.
-    pub(crate) fn free(cache: CacheConfig, pht: Pht, engine: BtbCore) -> Self {
-        Self::new(cache, vec![pht], vec![engine], Member::Free(0, Counters::default()))
-    }
-
-    /// The cache-coupled `engine` on `cache`, reading `pht` (index 0)
-    /// if it reads one.
-    pub(crate) fn coupled(cache: CacheConfig, pht: Option<Pht>, engine: Member) -> Self {
-        Self::new(cache, pht.into_iter().collect(), Vec::new(), engine)
-    }
-
-    fn new(cache: CacheConfig, phts: Vec<Pht>, free: Vec<BtbCore>, member: Member) -> Self {
-        Alone {
-            walk: WalkHalf::new(phts, free, &[line_shift(&cache)]),
-            cell: CellHalf::new(cache, 0, member),
-        }
-    }
-
-    pub(crate) fn member_mut(&mut self) -> &mut Member {
-        &mut self.cell.members
-    }
-
-    /// The cache-free engine, for an adapter of one.
-    pub(crate) fn free_mut(&mut self) -> Option<&mut BtbCore> {
-        self.walk.free.first_mut()
-    }
-
-    pub(crate) fn cache(&self) -> &InstructionCache {
-        &self.cell.cache
-    }
-
-    pub(crate) fn label(&self) -> String {
-        self.cell.members.label(&self.walk)
-    }
-
-    /// Feeds one record: the walk's pass over it, then one real cache
-    /// access, never a booked one, so the per-record path that
-    /// [`drive_supervised_scalar`](crate::drive_supervised_scalar)
-    /// drives as the oracle checks the block path's probe skip.
-    pub(crate) fn step(&mut self, r: &TraceRecord) -> Option<BreakOutcome> {
-        let every = self.cell.every_record();
-        self.walk.pass(std::slice::from_ref(r), every);
-        let dirs = self.walk.dirs(0);
-        let at = self.cell.fetch(r, 1, dirs, every, false);
-        let kind = r.class.break_kind()?;
-        self.cell.resolve_all(r, kind, at, dirs, self.walk.outcomes(0))
-    }
-
-    pub(crate) fn step_block(&mut self, block: &[TraceRecord]) {
-        self.walk.step_block(std::slice::from_mut(&mut self.cell), block, &[true]);
-    }
-
-    pub(crate) fn result(&self, bench: &str) -> SimResult {
-        self.cell.result(&self.cell.members, &self.walk, bench)
-    }
-
-    pub(crate) fn approx_heap_bytes(&self) -> u64 {
-        self.cell.heap_bytes(&self.walk)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn scratch_capacity(&self) -> Vec<usize> {
-        self.walk.scratch_capacity()
     }
 }
 
@@ -752,12 +636,13 @@ impl Engines for Cell {
     }
 }
 
-/// Several spec-built cells on one walk: the cells of a
-/// [`run_cells_supervised`](crate::run_cells_supervised) claim.
+/// Spec-built cells on one walk: the cells of a
+/// [`run_cells_supervised`](crate::run_cells_supervised) claim, the one
+/// cell of a [`Cell`], or the one engine of a public engine type.
 #[derive(Debug)]
 pub(crate) struct Cells {
     walk: WalkHalf,
-    cells: Vec<CellHalf<Vec<Member>>>,
+    cells: Vec<CellHalf>,
 }
 
 impl Cells {
@@ -771,9 +656,65 @@ impl Cells {
         Cells { walk: builder.walk(), cells }
     }
 
+    /// The engine `spec` alone on `cache`: one cell of one engine, the
+    /// body of each public engine type ([`BtbEngine`](crate::BtbEngine)
+    /// and the others).
+    pub(crate) fn alone(cache: CacheConfig, spec: EngineSpec) -> Self {
+        Cells::new([(cache, std::slice::from_ref(&spec))])
+    }
+
     /// Feeds `block` to each cell whose `running` flag is set.
     pub(crate) fn step_block(&mut self, block: &[TraceRecord], running: &[bool]) {
         self.walk.step_block(&mut self.cells, block, running);
+    }
+
+    /// Feeds one record to every cell: the walk's pass over it, then
+    /// one real cache access per cell, never a booked one, so the
+    /// per-record path that
+    /// [`drive_supervised_scalar`](crate::drive_supervised_scalar)
+    /// drives as the oracle checks the block path's probe skip. Returns
+    /// the last engine's outcome at a break.
+    pub(crate) fn step(&mut self, r: &TraceRecord) -> Option<BreakOutcome> {
+        let every = self.cells.iter().any(CellHalf::every_record);
+        self.walk.pass(std::slice::from_ref(r), every);
+        let (dirs, outcomes) = (self.walk.dirs(0), self.walk.outcomes(0));
+        let mut last = None;
+        for cell in &mut self.cells {
+            let at = cell.fetch(r, 1, dirs, every, false);
+            if let Some(kind) = r.class.break_kind() {
+                last = cell.resolve_all(r, kind, at, dirs, outcomes);
+            }
+        }
+        last
+    }
+
+    /// The first engine of the first cell, with its cell: the engine of
+    /// a walk of one.
+    fn first(&self) -> Option<(&CellHalf, &Member)> {
+        let cell = self.cells.first()?;
+        Some((cell, cell.members.first()?))
+    }
+
+    /// The first engine of the first cell, for the options only the
+    /// public engine types have.
+    pub(crate) fn first_mut(&mut self) -> Option<&mut Member> {
+        self.cells.first_mut()?.members.first_mut()
+    }
+
+    /// The walk's first cache-free engine: a walk of one BTB's BTB.
+    pub(crate) fn free_mut(&mut self) -> Option<&mut BtbCore> {
+        self.walk.free.first_mut()
+    }
+
+    /// The label of the first engine of the first cell.
+    pub(crate) fn label(&self) -> String {
+        self.first().map_or_else(String::new, |(_, m)| m.label(&self.walk))
+    }
+
+    /// The result of the first engine of the first cell, labelled
+    /// `bench`.
+    pub(crate) fn result(&self, bench: &str) -> SimResult {
+        self.first().map_or_else(SimResult::default, |(c, m)| c.result(m, &self.walk, bench))
     }
 
     /// Each cell's heap estimate, in order.
@@ -787,5 +728,11 @@ impl Cells {
         benches: impl IntoIterator<Item = &'b str>,
     ) -> Vec<Vec<SimResult>> {
         self.cells.iter().zip(benches).map(|(c, bench)| c.results(&self.walk, bench)).collect()
+    }
+
+    /// The capacity of each of the walk's scratch buffers.
+    #[cfg(test)]
+    pub(crate) fn scratch_capacity(&self) -> Vec<usize> {
+        self.walk.scratch_capacity()
     }
 }

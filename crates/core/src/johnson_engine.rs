@@ -10,12 +10,13 @@
 //! PHT + return stack) buy over the prior design.
 
 use nls_icache::{CacheConfig, InstructionCache};
-use nls_predictors::{JohnsonPredictors, LinePointer, NlsCacheConfig, NlsCachePredictors, Pht};
+use nls_predictors::{JohnsonPredictors, LinePointer, NlsCacheConfig, NlsCachePredictors};
 use nls_trace::{Addr, BreakKind, TraceRecord};
 
 use crate::engine::{BreakOutcome, Counters, FetchEngine};
-use crate::front_end::{cache_lines, cache_state_bytes, Alone, Frame, Hooks, Member};
+use crate::front_end::{cache_lines, cache_state_bytes, Cells, Frame};
 use crate::metrics::SimResult;
+use crate::spec::EngineSpec;
 
 #[derive(Debug, Clone, Copy)]
 struct PendingSlot {
@@ -36,18 +37,12 @@ struct PendingSlot {
 /// assert_eq!(engine.label(), "Johnson successor index (2/line)");
 /// ```
 #[derive(Debug)]
-pub struct JohnsonEngine(Alone);
+pub struct JohnsonEngine(pub(crate) Cells);
 
 impl JohnsonEngine {
     /// An engine whose successor-index array matches `cache`.
     pub fn new(cache: CacheConfig, preds_per_line: u32) -> Self {
-        let preds = Member::Johnson(JohnsonCore::new(&cache, preds_per_line));
-        JohnsonEngine(Alone::coupled(cache, None, preds))
-    }
-
-    /// The instruction cache (for inspection).
-    pub fn cache(&self) -> &InstructionCache {
-        self.0.cache()
+        JohnsonEngine(Cells::alone(cache, EngineSpec::Johnson { preds_per_line }))
     }
 }
 
@@ -61,7 +56,7 @@ impl FetchEngine for JohnsonEngine {
     }
 
     fn step_block(&mut self, block: &[TraceRecord]) {
-        self.0.step_block(block);
+        self.0.step_block(block, &[true]);
     }
 
     fn result(&self, bench: &str) -> SimResult {
@@ -69,7 +64,7 @@ impl FetchEngine for JohnsonEngine {
     }
 
     fn approx_heap_bytes(&self) -> u64 {
-        self.0.approx_heap_bytes()
+        self.0.heap_bytes().sum()
     }
 }
 
@@ -108,25 +103,28 @@ fn denotes(ptr: LinePointer, addr: Addr, cache: &InstructionCache) -> bool {
         && u64::from(ptr.inst) == addr.offset_in_line(cfg.line_bytes)
 }
 
-impl Hooks for JohnsonCore {
-    fn label(&self) -> String {
+impl JohnsonCore {
+    pub(crate) fn label(&self) -> String {
         format!("Johnson successor index ({}/line)", self.preds.config().preds_per_line)
     }
 
-    fn counters(&self) -> &Counters {
+    pub(crate) fn counters(&self) -> &Counters {
         &self.counters
     }
 
-    fn heap_bytes(&self, cache: &CacheConfig, _phts: &[Pht]) -> u64 {
+    pub(crate) fn heap_bytes(&self, cache: &CacheConfig) -> u64 {
         Self::state_bytes(cache, self.preds.config().preds_per_line)
     }
 
+    // The hooks stay out of line; see `CellHalf::fetch`.
     /// A refill destroys the frame's successor pointers.
-    fn refill(&mut self, at: Frame) {
+    #[inline(never)]
+    pub(crate) fn refill(&mut self, at: Frame) {
         self.preds.invalidate_line(at.set, at.way);
     }
 
-    fn fetch(&mut self, r: &TraceRecord, at: Frame, cache: &InstructionCache, _dirs: &[bool]) {
+    #[inline(never)]
+    pub(crate) fn fetch(&mut self, r: &TraceRecord, at: Frame, cache: &InstructionCache) {
         // Commit the previous branch's successor pointer: it records
         // wherever control went, taken or not (Johnson's rule).
         if let Some(p) = self.pending.take() {
@@ -134,13 +132,13 @@ impl Hooks for JohnsonCore {
         }
     }
 
-    fn resolve(
+    #[inline(never)]
+    pub(crate) fn resolve(
         &mut self,
         r: &TraceRecord,
         kind: BreakKind,
         at: Frame,
         cache: &InstructionCache,
-        _dirs: &[bool],
     ) -> BreakOutcome {
         let inst = NlsCachePredictors::inst_offset(r.pc, cache.config().line_bytes);
         let entry = self.preds.lookup(at.set, at.way, inst);

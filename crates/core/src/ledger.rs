@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -1087,55 +1087,10 @@ fn same_file(_file: &fs::File, _path_meta: &fs::Metadata) -> bool {
     false
 }
 
-/// Atomic durable write shared by the ledger's snapshots, serve's job
-/// files and result cache, and the bench results writers: serialise
-/// to a temporary sibling, fsync the file, rename over the target,
-/// fsync the parent directory.
-///
-/// The sibling's name is this writer's own
-/// (`<path>.<pid>.<sequence>.tmp`), so concurrent writers to one path
-/// — threads or processes — never share a staging file: none can
-/// rename another's away, and the target always holds one whole
-/// write (the last rename's).
-///
-/// # Errors
-///
-/// Any I/O failure along that sequence; the temporary sibling is
-/// removed on error and the target is left untouched.
-pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    static TMP_SEQUENCE: AtomicU64 = AtomicU64::new(0);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(
-        ".{}.{}.tmp",
-        std::process::id(),
-        TMP_SEQUENCE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = PathBuf::from(tmp);
-    let write = (|| -> std::io::Result<()> {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-        fs::rename(&tmp, path)?;
-        fsync_parent_dir(path)
-    })();
-    if let Err(e) = write {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
-    }
-    Ok(())
-}
-
-/// Fsyncs the directory containing `path`, making a just-performed
-/// rename of `path` durable. A path with no parent component syncs
-/// the current directory (`.`), where the rename landed.
-fn fsync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    // nls-lint: allow(fs-trace-read): opens a directory to fsync it; no bytes are read
-    fs::File::open(parent)?.sync_all()
-}
+/// The ledger's snapshots, serve's job files and result cache, and the
+/// bench results writers all write through the one durable-write
+/// protocol, which trace files share.
+pub use nls_trace::write_atomic;
 
 /// Chaos knob: milliseconds to hold the ledger lock after acquiring
 /// it. Set (via `NLS_LEDGER_CHAOS_HOLD_MS`) only by the soak harness
@@ -1558,17 +1513,15 @@ mod tests {
     #[test]
     fn write_atomic_fsyncs_the_parent_directory_and_survives_bare_filenames() {
         // The rename-durability fix opens the parent directory after
-        // the rename; both a real parent and the implicit `.` parent
-        // of a bare file name must resolve and sync cleanly.
+        // the rename, so a write under a missing parent fails. How a
+        // real parent and a bare name's implicit `.` resolve is tested
+        // where the sync lives, in `nls_trace`'s file module.
         let path = temp_ledger_path("dirsync");
         write_atomic(&path, "{}\n").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "{}\n");
         assert!(tmp_siblings(&path).is_empty(), "no staging file is left behind");
-        fsync_parent_dir(&path).unwrap();
-        fsync_parent_dir(Path::new("bare-name.json")).unwrap();
         let missing = path.with_file_name("no-such-subdir").join("ledger.json");
-        assert!(fsync_parent_dir(&missing).is_err(), "missing parent must not be masked");
-        assert!(write_atomic(&missing, "{}\n").is_err());
+        assert!(write_atomic(&missing, "{}\n").is_err(), "missing parent must not be masked");
         let err = LedgerFile::new(&missing).init(fresh(), false).unwrap_err();
         assert_eq!(err.exit_code(), 8, "a snapshot that cannot be written is a ledger error");
         let _ = fs::remove_file(&path);

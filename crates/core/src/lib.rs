@@ -96,6 +96,6 @@ pub use supervisor::{
 };
 pub use sweep::{
     cross, drive, executor_count, merge_ledger_outcomes, paper_caches, run_ledger_worker,
-    run_one, run_sweep, run_sweep_supervised, run_sweep_with, RunSpec, SweepConfig,
-    SweepOptions, WorkerReport, DEFAULT_TRACE_LEN,
+    run_one, run_sweep, run_sweep_supervised, RunSpec, SweepConfig, WorkerReport,
+    DEFAULT_TRACE_LEN,
 };

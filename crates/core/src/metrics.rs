@@ -10,7 +10,7 @@ use crate::penalty::PenaltyModel;
 ///
 /// Carries the raw event counts; the paper's derived metrics are
 /// methods so different [`PenaltyModel`]s can be applied afterwards.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimResult {
     /// Engine label (e.g. `"1024 NLS table"`, `"128 direct BTB"`).
     pub engine: String,

@@ -8,10 +8,10 @@ use nls_trace::{BreakKind, TraceRecord};
 
 use crate::engine::{nls_action, resolve, BreakOutcome, Counters, FetchEngine};
 use crate::front_end::{
-    cache_lines, cache_state_bytes, direction, pht_entries, Alone, Frame, Hooks, Member,
-    RAS_BYTES,
+    cache_lines, cache_state_bytes, direction, pht_entries, Cells, Frame, RAS_BYTES,
 };
 use crate::metrics::SimResult;
+use crate::spec::EngineSpec;
 
 /// A pending coupled-predictor update: slot coordinates captured at
 /// the branch's fetch, committed when the successor is fetched.
@@ -41,25 +41,14 @@ struct PendingSlot {
 /// assert_eq!(engine.label(), "NLS cache (2/line)");
 /// ```
 #[derive(Debug)]
-pub struct NlsCacheEngine(Alone);
+pub struct NlsCacheEngine(pub(crate) Cells);
 
 impl NlsCacheEngine {
     /// An engine whose predictor array matches `cache`, with
     /// `preds_per_line` predictors per line and the paper's shared
-    /// PHT and return stack.
+    /// PHT and return stack; [`EngineSpec::build`] takes other PHTs.
     pub fn new(cache: CacheConfig, preds_per_line: u32) -> Self {
-        Self::with_pht(cache, preds_per_line, Pht::paper())
-    }
-
-    /// An engine with a custom direction predictor.
-    pub fn with_pht(cache: CacheConfig, preds_per_line: u32, pht: Pht) -> Self {
-        let preds = Member::NlsCache(NlsCacheCore::new(&cache, preds_per_line, 0));
-        NlsCacheEngine(Alone::coupled(cache, Some(pht), preds))
-    }
-
-    /// The instruction cache (for inspection).
-    pub fn cache(&self) -> &InstructionCache {
-        self.0.cache()
+        NlsCacheEngine(Cells::alone(cache, EngineSpec::nls_cache(preds_per_line)))
     }
 }
 
@@ -73,7 +62,7 @@ impl FetchEngine for NlsCacheEngine {
     }
 
     fn step_block(&mut self, block: &[TraceRecord]) {
-        self.0.step_block(block);
+        self.0.step_block(block, &[true]);
     }
 
     fn result(&self, bench: &str) -> SimResult {
@@ -81,7 +70,7 @@ impl FetchEngine for NlsCacheEngine {
     }
 
     fn approx_heap_bytes(&self) -> u64 {
-        self.0.approx_heap_bytes()
+        self.0.heap_bytes().sum()
     }
 }
 
@@ -123,18 +112,16 @@ impl NlsCacheCore {
             + pht_entries as u64
             + RAS_BYTES
     }
-}
 
-impl Hooks for NlsCacheCore {
-    fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!("NLS cache ({}/line)", self.preds.config().preds_per_line)
     }
 
-    fn counters(&self) -> &Counters {
+    pub(crate) fn counters(&self) -> &Counters {
         &self.counters
     }
 
-    fn heap_bytes(&self, cache: &CacheConfig, phts: &[Pht]) -> u64 {
+    pub(crate) fn heap_bytes(&self, cache: &CacheConfig, phts: &[Pht]) -> u64 {
         Self::state_bytes(
             cache,
             self.preds.config().preds_per_line,
@@ -142,13 +129,16 @@ impl Hooks for NlsCacheCore {
         )
     }
 
+    // The hooks stay out of line; see `CellHalf::fetch`.
     /// The refilled frame's coupled predictors belong to the departed
     /// line and are invalidated.
-    fn refill(&mut self, at: Frame) {
+    #[inline(never)]
+    pub(crate) fn refill(&mut self, at: Frame) {
         self.preds.invalidate_line(at.set, at.way);
     }
 
-    fn fetch(&mut self, r: &TraceRecord, at: Frame, cache: &InstructionCache, _dirs: &[bool]) {
+    #[inline(never)]
+    pub(crate) fn fetch(&mut self, r: &TraceRecord, at: Frame, cache: &InstructionCache) {
         // Commit the previous break's predictor update.
         if let Some(p) = self.pending.take() {
             let target = p.taken.then(|| at.pointer(r.pc, cache.config()));
@@ -156,7 +146,8 @@ impl Hooks for NlsCacheCore {
         }
     }
 
-    fn resolve(
+    #[inline(never)]
+    pub(crate) fn resolve(
         &mut self,
         r: &TraceRecord,
         kind: BreakKind,

@@ -6,9 +6,10 @@ use nls_trace::{Addr, BreakKind, TraceRecord};
 
 use crate::engine::{nls_action, resolve, BreakOutcome, Counters, FetchAction, FetchEngine};
 use crate::front_end::{
-    cache_state_bytes, direction, pht_entries, Alone, Frame, Hooks, Member, RAS_BYTES,
+    cache_state_bytes, direction, pht_entries, Cells, Frame, Member, RAS_BYTES,
 };
 use crate::metrics::SimResult;
+use crate::spec::EngineSpec;
 
 /// A pending NLS pointer update: a taken branch whose target's cache
 /// location can only be recorded once the target has actually been
@@ -42,19 +43,13 @@ struct PendingUpdate {
 /// assert_eq!(outcome, nls_core::BreakOutcome::Correct);
 /// ```
 #[derive(Debug)]
-pub struct NlsTableEngine(Alone);
+pub struct NlsTableEngine(pub(crate) Cells);
 
 impl NlsTableEngine {
     /// An engine with `entries` NLS predictors and the paper's
-    /// shared predictors.
+    /// shared predictors; [`EngineSpec::build`] takes other PHTs.
     pub fn new(entries: usize, cache: CacheConfig) -> Self {
-        Self::with_pht(entries, cache, Pht::paper())
-    }
-
-    /// An engine with a custom direction predictor.
-    pub fn with_pht(entries: usize, cache: CacheConfig, pht: Pht) -> Self {
-        let table = Member::NlsTable(NlsTableCore::new(entries, 0));
-        NlsTableEngine(Alone::coupled(cache, Some(pht), table))
+        NlsTableEngine(Cells::alone(cache, EngineSpec::nls_table(entries)))
     }
 
     /// Drops the predecode-bit assumption (§4): instruction types
@@ -68,15 +63,10 @@ impl NlsTableEngine {
     /// the break count).
     #[must_use]
     pub fn with_type_predictor(mut self, entries: usize) -> Self {
-        if let Member::NlsTable(e) = self.0.member_mut() {
+        if let Some(Member::NlsTable(e)) = self.0.first_mut() {
             e.type_table = Some(BranchTypeTable::new(entries));
         }
         self
-    }
-
-    /// The instruction cache (for inspection).
-    pub fn cache(&self) -> &InstructionCache {
-        self.0.cache()
     }
 }
 
@@ -90,7 +80,7 @@ impl FetchEngine for NlsTableEngine {
     }
 
     fn step_block(&mut self, block: &[TraceRecord]) {
-        self.0.step_block(block);
+        self.0.step_block(block, &[true]);
     }
 
     fn result(&self, bench: &str) -> SimResult {
@@ -98,7 +88,7 @@ impl FetchEngine for NlsTableEngine {
     }
 
     fn approx_heap_bytes(&self) -> u64 {
-        self.0.approx_heap_bytes()
+        self.0.heap_bytes().sum()
     }
 }
 
@@ -151,18 +141,16 @@ impl NlsTableCore {
             + RAS_BYTES
             + type_entries as u64
     }
-}
 
-impl Hooks for NlsTableCore {
-    fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!("{} NLS table", self.table.len())
     }
 
-    fn counters(&self) -> &Counters {
+    pub(crate) fn counters(&self) -> &Counters {
         &self.counters
     }
 
-    fn heap_bytes(&self, cache: &CacheConfig, phts: &[Pht]) -> u64 {
+    pub(crate) fn heap_bytes(&self, cache: &CacheConfig, phts: &[Pht]) -> u64 {
         Self::state_bytes(
             cache,
             self.table.len(),
@@ -173,11 +161,19 @@ impl Hooks for NlsTableCore {
 
     /// With the type predictor every record predicts and trains the
     /// type table.
-    fn every_record(&self) -> bool {
+    pub(crate) fn every_record(&self) -> bool {
         self.type_table.is_some()
     }
 
-    fn fetch(&mut self, r: &TraceRecord, at: Frame, cache: &InstructionCache, dirs: &[bool]) {
+    // The hooks stay out of line; see `CellHalf::fetch`.
+    #[inline(never)]
+    pub(crate) fn fetch(
+        &mut self,
+        r: &TraceRecord,
+        at: Frame,
+        cache: &InstructionCache,
+        dirs: &[bool],
+    ) {
         // Commit the previous break's predictor update now that its
         // successor (this very instruction) is resident, in `at`.
         if let Some(p) = self.pending.take() {
@@ -204,11 +200,11 @@ impl Hooks for NlsTableCore {
         }
     }
 
-    fn resolve(
+    #[inline(never)]
+    pub(crate) fn resolve(
         &mut self,
         r: &TraceRecord,
         kind: BreakKind,
-        _at: Frame,
         cache: &InstructionCache,
         dirs: &[bool],
     ) -> BreakOutcome {

@@ -1,10 +1,11 @@
 //! Declarative engine specifications for sweeps.
 
 use nls_icache::CacheConfig;
-use nls_predictors::{BtbConfig, Pht, PhtIndexing};
+use nls_predictors::{Pht, PhtIndexing};
 
 use crate::btb_engine::{BtbCore, BtbEngine};
 use crate::engine::FetchEngine;
+use crate::front_end::Cells;
 use crate::johnson_engine::{JohnsonCore, JohnsonEngine};
 use crate::nls_cache_engine::{NlsCacheCore, NlsCacheEngine};
 use crate::nls_table_engine::{NlsTableCore, NlsTableEngine};
@@ -160,21 +161,12 @@ impl EngineSpec {
     /// Instantiates the engine for `cache`, alone on its own front
     /// end ([`Cell`](crate::Cell) runs several on one).
     pub fn build(&self, cache: CacheConfig) -> Box<dyn FetchEngine + Send> {
-        match *self {
-            EngineSpec::Btb { entries, assoc, pht } => Box::new(BtbEngine::with_pht(
-                BtbConfig::new(entries, assoc),
-                cache,
-                pht.build(),
-            )),
-            EngineSpec::NlsTable { entries, pht } => {
-                Box::new(NlsTableEngine::with_pht(entries, cache, pht.build()))
-            }
-            EngineSpec::NlsCache { preds_per_line, pht } => {
-                Box::new(NlsCacheEngine::with_pht(cache, preds_per_line, pht.build()))
-            }
-            EngineSpec::Johnson { preds_per_line } => {
-                Box::new(JohnsonEngine::new(cache, preds_per_line))
-            }
+        let alone = Cells::alone(cache, *self);
+        match self {
+            EngineSpec::Btb { .. } => Box::new(BtbEngine(alone)),
+            EngineSpec::NlsTable { .. } => Box::new(NlsTableEngine(alone)),
+            EngineSpec::NlsCache { .. } => Box::new(NlsCacheEngine(alone)),
+            EngineSpec::Johnson { .. } => Box::new(JohnsonEngine(alone)),
         }
     }
 

@@ -1,10 +1,11 @@
 //! Supervised execution: every simulation entry point, made
 //! cancellable, deadline-bounded and resource-accounted.
 //!
-//! Cells of one benchmark can share one walk of its program
-//! ([`run_cells_supervised`]); each cell keeps its own budget
-//! accounting, so its outcome is the one it gets alone
-//! ([`run_one_supervised`]).
+//! Every run walks its benchmark's program through
+//! [`run_cells_supervised`]: the cells of one benchmark share one walk,
+//! and each cell keeps its own budget accounting, so its outcome is the
+//! one it gets on a walk of its own ([`run_one_supervised`], the
+//! one-cell case).
 //!
 //! The unsupervised drivers in [`sweep`](crate::sweep) run to
 //! completion or panic; this module wraps the same loops in a
@@ -23,7 +24,7 @@
 
 use crate::budget::{Budget, CancelToken, StopReason};
 use crate::engine::FetchEngine;
-use crate::front_end::{Cell, Cells};
+use crate::front_end::Cells;
 use crate::metrics::SimResult;
 use crate::sweep::{RunSpec, SweepConfig};
 
@@ -83,8 +84,8 @@ pub fn estimated_heap_bytes(engines: &[Box<dyn FetchEngine + Send>]) -> u64 {
 }
 
 /// What a supervised drive loop feeds, one block at a time: engines
-/// built one by one, each on a walk of its own, or a [`Cell`] whose
-/// engines share one.
+/// built one by one, each on a walk of its own, or a
+/// [`Cell`](crate::Cell) whose engines share one.
 pub trait Engines {
     /// Feeds `block` to every engine, in order.
     fn step_block(&mut self, block: &[TraceRecord]);
@@ -325,7 +326,8 @@ pub fn drive_walker_supervised(
 /// Streams `records` through every engine in [`BLOCK_RECORDS`]-sized
 /// blocks buffered one at a time, so memory stays one block however
 /// long the stream is (`nls replay` feeds a trace file this way, to
-/// a [`Cell`]). Stop semantics are those of [`drive_supervised`].
+/// a [`Cell`](crate::Cell)). Stop semantics are those of
+/// [`drive_supervised`].
 pub fn drive_records_supervised<I, E>(
     records: I,
     engines: &mut E,
@@ -351,7 +353,7 @@ pub(crate) fn synthesize_bench(bench: &BenchProfile) -> Program {
 /// Executes several cells of one benchmark over a single walk of
 /// `program`, that benchmark's synthesised program: each block of the
 /// trace is generated once and fed to every cell, and the cells share
-/// one front end ([`Cells`]): the run scan, the PHTs and the BTBs are
+/// one front end (`Cells`): the run scan, the PHTs and the BTBs are
 /// simulated once for all of them, each cell's cache once for its
 /// engines. Returns one [`Outcome`] per spec, in order, each equal to
 /// what [`run_one_supervised`] returns for that cell alone. A cell
@@ -380,28 +382,21 @@ pub fn run_cells_supervised(
         .collect()
 }
 
-/// The one-cell case of [`run_cells_supervised`]: executes `spec`
-/// over a walk of `program`, its benchmark's synthesised program.
-pub(crate) fn run_cell_supervised(
-    program: &Program,
-    spec: &RunSpec,
-    cfg: &SweepConfig,
-    budget: &Budget,
-) -> Outcome {
-    let mut cell = Cell::new(spec.cache, &spec.engines);
-    let mut walker = Walker::new(program, cfg.seed);
-    let walk = Walk { walker: &mut walker, remaining: cfg.trace_len, block: Vec::new() };
-    let stop = drive_one(walk, &mut cell, budget);
-    outcome(cell.results(spec.bench.name), stop)
-}
-
 /// Executes one run under `budget`: synthesises the workload, walks
 /// up to `trace_len` records through every engine, and returns
 /// [`Outcome::Complete`] — or [`Outcome::Degraded`] with the partial
 /// per-engine counters when a limit trips first. The one-cell case of
 /// [`run_cells_supervised`].
 pub fn run_one_supervised(spec: &RunSpec, cfg: &SweepConfig, budget: &Budget) -> Outcome {
-    run_cell_supervised(&synthesize_bench(&spec.bench), spec, cfg, budget)
+    let program = synthesize_bench(&spec.bench);
+    one_outcome(run_cells_supervised(&program, &[spec], cfg, budget))
+}
+
+/// The outcome of a one-cell walk. The fallback for a walk that
+/// returned none is unreachable, since a walk returns one outcome per
+/// cell, but keeps the path total.
+pub(crate) fn one_outcome(outcomes: Vec<Outcome>) -> Outcome {
+    outcomes.into_iter().next().unwrap_or(Outcome::Complete(Vec::new()))
 }
 
 #[cfg(unix)]

@@ -10,8 +10,7 @@
 //! # Trace sharing
 //!
 //! A run's trace depends only on its benchmark, trace length and
-//! seed, so a sweep amortises generation across caches too (all but
-//! [`run_sweep_with`], the per-run fault-injection hook). Both
+//! seed, so a sweep amortises generation across caches too. Both
 //! executors — the in-memory sweep's threads, and the
 //! [`run_ledger_worker`]s sharing a ledger (threads or processes) —
 //! claim by one rule: the next ⌈claimable / executors⌉ runs, cut
@@ -27,16 +26,15 @@
 //!
 //! Sweep workers are panic-isolated: a run whose engine panics is
 //! caught with [`std::panic::catch_unwind`], retried up to
-//! [`SweepOptions::max_retries`] times, and reported as a
-//! [`RunError`] in that run's slot — the other runs complete
-//! normally. A claim of several runs that panics is retried run by
-//! run, each with its full retry budget (the failed shared attempt is
-//! not counted), so the panicking run still fails alone.
-//! [`run_sweep_with`] runs each run on its own, with no shared
-//! attempt. Over a [`LedgerFile`], [`run_sweep_supervised`] is
-//! durable: its threads are ledger workers ([`run_ledger_worker`]),
-//! which publish every completed run to the ledger, so an interrupted
-//! sweep restarts where it stopped instead of from scratch.
+//! `MAX_RETRIES` (one) times, and reported as a [`RunError`] in that
+//! run's slot — the other runs complete normally. A claim of several
+//! runs that panics is retried run by run, each with its full retry
+//! budget (the failed shared attempt is not counted), so the
+//! panicking run still fails alone. Over a [`LedgerFile`],
+//! [`run_sweep_supervised`] is durable: its threads are ledger workers
+//! ([`run_ledger_worker`]), which publish every completed run to the
+//! ledger, so an interrupted sweep restarts where it stopped instead
+//! of from scratch.
 //!
 //! # Supervision
 //!
@@ -49,7 +47,6 @@
 //! bit-for-bit identical to an uninterrupted one. The unsupervised
 //! entry points run under [`Budget::unlimited`].
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
@@ -64,8 +61,8 @@ use crate::ledger::{self, CellState, ClaimOutcome, Heartbeat, Ledger, LedgerFile
 use crate::metrics::SimResult;
 use crate::spec::EngineSpec;
 use crate::supervisor::{
-    drive_supervised, run_cell_supervised, run_cells_supervised, run_one_supervised,
-    synthesize_bench, Outcome,
+    drive_supervised, one_outcome, run_cells_supervised, run_one_supervised, synthesize_bench,
+    Outcome,
 };
 
 /// Default dynamic trace length for paper-scale experiments.
@@ -87,25 +84,15 @@ impl Default for SweepConfig {
     }
 }
 
-/// Fault-tolerance knobs for a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepOptions {
-    /// Extra attempts granted to a run whose engine panics (so a run
-    /// is tried `1 + max_retries` times on its own before it is
-    /// reported as a [`RunError::Panicked`]). A run that first panics
-    /// inside a walk it shares with other runs (see *Trace sharing*
-    /// in the module docs) then gets these attempts alone: the shared
-    /// attempt is an extra one, not counted in `attempts`. Retries
-    /// cost one full re-simulation each; they only help against
-    /// nondeterministic failures.
-    pub max_retries: u32,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions { max_retries: 1 }
-    }
-}
+/// Extra attempts every sweep grants a run whose engine panics, so a
+/// run is tried `1 + MAX_RETRIES` times on its own before it is
+/// reported as a [`RunError::Panicked`]. A run that first panics
+/// inside a walk it shares with other runs (see *Trace sharing* in the
+/// module docs) then gets these attempts alone: the shared attempt is
+/// an extra one, not counted in `attempts`. Retries cost one full
+/// re-simulation each; they only help against nondeterministic
+/// failures.
+const MAX_RETRIES: u32 = 1;
 
 /// One (workload, cache, engines) simulation unit.
 #[derive(Debug, Clone)]
@@ -190,26 +177,29 @@ fn attempt_run(
     })
 }
 
-/// Executes one claim — cells of one benchmark — over one shared walk
-/// with `run_shared`, which returns one outcome per cell. A claim of
-/// several cells that panics is retried cell by cell with
-/// `run_alone`, each cell with its full retry budget, so a panicking
-/// cell fails alone with `1 + max_retries` counted attempts (the
-/// shared attempt is not counted) and its neighbours complete.
+/// Executes one claim — cells of one benchmark — with `run_cells`,
+/// which simulates the cells it is given over one walk and returns one
+/// outcome per cell. A claim of several cells that panics is retried
+/// cell by cell, each cell on a walk of its own with its full retry
+/// budget, so a panicking cell fails alone with `1 + max_retries`
+/// counted attempts (the shared attempt is not counted) and its
+/// neighbours complete.
 fn attempt_claim(
     claim: &[&RunSpec],
     max_retries: u32,
-    run_shared: impl FnOnce(&[&RunSpec]) -> Vec<Outcome>,
-    run_alone: impl Fn(&RunSpec) -> Outcome,
+    mut run_cells: impl FnMut(&[&RunSpec]) -> Vec<Outcome>,
 ) -> Vec<Result<Outcome, RunError>> {
     if claim.len() > 1 {
         // AssertUnwindSafe: as in `attempt_run`, a panicking walk
         // drops all of its state.
-        if let Ok(outcomes) = catch_unwind(AssertUnwindSafe(|| run_shared(claim))) {
+        if let Ok(outcomes) = catch_unwind(AssertUnwindSafe(|| run_cells(claim))) {
             return outcomes.into_iter().map(Ok).collect();
         }
     }
-    claim.iter().map(|&spec| attempt_run(|| run_alone(spec), spec, max_retries)).collect()
+    claim
+        .iter()
+        .map(|&spec| attempt_run(|| one_outcome(run_cells(&[spec])), spec, max_retries))
+        .collect()
 }
 
 /// Simulates a claim's cells over one walk of their benchmark's
@@ -285,11 +275,11 @@ pub fn executor_count(cells: usize) -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(cells.max(1))
 }
 
-/// The in-memory sweep executor behind [`run_sweep`],
-/// [`run_sweep_with`] and [`run_sweep_supervised`] without a ledger:
-/// threads claim cells of one benchmark at a time ([`claim_len`]) and
-/// hand each claim to `run_claim`, which returns one result per cell,
-/// with budget polling between claims.
+/// The in-memory sweep executor behind [`run_sweep`] and
+/// [`run_sweep_supervised`] without a ledger: threads claim cells of
+/// one benchmark at a time ([`claim_len`]) and hand each claim to
+/// `run_claim`, which returns one result per cell, with budget polling
+/// between claims.
 fn sweep_inner<F>(
     runs: &[RunSpec],
     budget: &Budget,
@@ -371,45 +361,12 @@ where
 fn sweep_in_memory(
     runs: &[RunSpec],
     cfg: &SweepConfig,
-    opts: &SweepOptions,
     budget: &Budget,
 ) -> Vec<Result<Outcome, RunError>> {
     let run_claim = |claim: &[&RunSpec]| {
-        attempt_claim(
-            claim,
-            opts.max_retries,
-            |claim| run_claim_shared(claim, cfg, budget),
-            |spec| run_one_supervised(spec, cfg, budget),
-        )
+        attempt_claim(claim, MAX_RETRIES, |claim| run_claim_shared(claim, cfg, budget))
     };
     sweep_inner(runs, budget, &run_claim)
-}
-
-/// Executes `runs` across threads with a caller-supplied run
-/// function, each run on its own — the per-run fault-injection point
-/// for fault-tolerance tests. A run is tried `1 + max_retries` times.
-/// Returns one `Result` per run, in run order.
-pub fn run_sweep_with<F>(
-    runs: &[RunSpec],
-    cfg: &SweepConfig,
-    opts: &SweepOptions,
-    run_fn: F,
-) -> Vec<Result<Vec<SimResult>, RunError>>
-where
-    F: Fn(&RunSpec, &SweepConfig) -> Vec<SimResult> + Sync,
-{
-    let run_claim = |claim: &[&RunSpec]| -> Vec<Result<Outcome, RunError>> {
-        claim
-            .iter()
-            .map(|&spec| {
-                attempt_run(|| Outcome::Complete(run_fn(spec, cfg)), spec, opts.max_retries)
-            })
-            .collect()
-    };
-    sweep_inner(runs, &Budget::unlimited(), &run_claim)
-        .into_iter()
-        .map(|r| r.map(Outcome::into_results))
-        .collect()
 }
 
 /// The fully supervised sweep: panic isolation, bounded retry and a
@@ -443,12 +400,11 @@ where
 pub fn run_sweep_supervised(
     runs: &[RunSpec],
     cfg: &SweepConfig,
-    opts: &SweepOptions,
     budget: &Budget,
     ledger: Option<&LedgerFile>,
 ) -> Result<Vec<Result<Outcome, RunError>>, NlsError> {
     let Some(file) = ledger else {
-        return Ok(sweep_in_memory(runs, cfg, opts, budget));
+        return Ok(sweep_in_memory(runs, cfg, budget));
     };
     let workers = executor_count(runs.len());
     let ids: Vec<String> =
@@ -457,9 +413,7 @@ pub fn run_sweep_supervised(
         let handles: Vec<_> = ids
             .iter()
             .map(|id| {
-                scope.spawn(move || {
-                    run_ledger_worker(runs, cfg, opts, budget, file, id, workers)
-                })
+                scope.spawn(move || run_ledger_worker(runs, cfg, budget, file, id, workers))
             })
             .collect();
         handles
@@ -532,7 +486,6 @@ fn program_for<'k>(
 pub fn run_ledger_worker(
     runs: &[RunSpec],
     cfg: &SweepConfig,
-    opts: &SweepOptions,
     budget: &Budget,
     file: &LedgerFile,
     worker: &str,
@@ -543,7 +496,7 @@ pub fn run_ledger_worker(
     let index: BTreeMap<String, &RunSpec> = runs.iter().map(|run| (run.key(), run)).collect();
     // The last benchmark's program, walked again when the next claim
     // is of the same benchmark.
-    let kept: RefCell<Option<(BenchProfile, Program)>> = RefCell::new(None);
+    let mut kept: Option<(BenchProfile, Program)> = None;
     loop {
         if let Err(reason) = budget.check_now() {
             return Err(NlsError::Interrupted(format!("worker {worker}: {reason}")));
@@ -590,30 +543,12 @@ pub fn run_ledger_worker(
         let hb = Heartbeat::start_all(file, &keys, worker, lease_ms, &cancel);
         // The program is fetched inside each attempt, so a panic there
         // is isolated like any other.
-        let outcomes = attempt_claim(
-            &specs,
-            opts.max_retries,
-            |claim| match claim.first() {
-                Some(first) => {
-                    let mut kept = kept.borrow_mut();
-                    run_cells_supervised(
-                        program_for(&mut kept, &first.bench),
-                        claim,
-                        cfg,
-                        budget,
-                    )
-                }
-                None => Vec::new(),
-            },
-            |spec| {
-                run_cell_supervised(
-                    program_for(&mut kept.borrow_mut(), &spec.bench),
-                    spec,
-                    cfg,
-                    budget,
-                )
-            },
-        );
+        let outcomes = attempt_claim(&specs, MAX_RETRIES, |claim| match claim.first() {
+            Some(first) => {
+                run_cells_supervised(program_for(&mut kept, &first.bench), claim, cfg, budget)
+            }
+            None => Vec::new(),
+        });
         hb.stop();
         // Published under a fresh token: once the cells' fates are
         // known, publishing them must not be abandoned by a
@@ -697,7 +632,7 @@ pub fn merge_ledger_outcomes(
 /// the legacy all-or-nothing contract. Use [`run_sweep_supervised`]
 /// to handle per-run failures.
 pub fn run_sweep(runs: &[RunSpec], cfg: &SweepConfig) -> Vec<SimResult> {
-    sweep_in_memory(runs, cfg, &SweepOptions::default(), &Budget::unlimited())
+    sweep_in_memory(runs, cfg, &Budget::unlimited())
         .into_iter()
         .map(|r| match r {
             Ok(outcome) => outcome.into_results(),
@@ -889,10 +824,8 @@ mod tests {
         file.init(Ledger::new(&cfg, 30_000, 3, runs.iter().map(RunSpec::key)), false)
             .expect("fresh ledger");
         let snapshot = std::fs::read_to_string(&path).expect("readable");
-        let opts = SweepOptions::default();
-        let report =
-            run_ledger_worker(&runs, &cfg, &opts, &Budget::unlimited(), &file, "w0", 1)
-                .expect("the worker drains the ledger");
+        let report = run_ledger_worker(&runs, &cfg, &Budget::unlimited(), &file, "w0", 1)
+            .expect("the worker drains the ledger");
         assert_eq!((report.completed, report.claims, report.reclaimed), (6, 2, 0));
         let text = std::fs::read_to_string(&path).expect("readable");
         let journal = text.strip_prefix(snapshot.as_str()).expect("the snapshot is kept");
@@ -922,9 +855,8 @@ mod tests {
         file.init(Ledger::new(&cfg, 30_000, 3, runs.iter().map(RunSpec::key)), false)
             .expect("fresh ledger");
         let budget = Budget::unlimited().with_max_heap_bytes(small.state_bytes());
-        let err =
-            run_ledger_worker(&runs, &cfg, &SweepOptions::default(), &budget, &file, "w0", 1)
-                .expect_err("a refused cell interrupts the worker");
+        let err = run_ledger_worker(&runs, &cfg, &budget, &file, "w0", 1)
+            .expect_err("a refused cell interrupts the worker");
         assert_eq!(err.exit_code(), 7, "{err}");
         let ledger = file.read(&CancelToken::new()).expect("readable");
         assert_eq!(
@@ -957,10 +889,7 @@ mod tests {
                 }
                 claim.iter().map(|_| Outcome::Complete(Vec::new())).collect()
             };
-            let run_alone = |spec: &RunSpec| -> Outcome {
-                run_cells(&[spec]).pop().expect("one outcome per cell")
-            };
-            let outcomes = attempt_claim(&specs, max_retries, run_cells, run_alone);
+            let outcomes = attempt_claim(&specs, max_retries, run_cells);
             assert_eq!(outcomes.len(), runs.len());
             for (run, outcome) in runs.iter().zip(&outcomes) {
                 match outcome {
@@ -1036,6 +965,20 @@ mod tests {
         assert_eq!(caches[5].label(), "32K 4-way");
     }
 
+    /// The in-memory sweep of `runs` with every claim simulated by
+    /// `run` through `attempt_claim` at `max_retries`: the executor of
+    /// every in-memory sweep, with a fault injected wherever `run`
+    /// panics.
+    fn sweep_injected(
+        runs: &[RunSpec],
+        max_retries: u32,
+        run: impl Fn(&[&RunSpec]) -> Vec<Outcome> + Sync,
+    ) -> Vec<Result<Outcome, RunError>> {
+        sweep_inner(runs, &Budget::unlimited(), &|claim: &[&RunSpec]| {
+            attempt_claim(claim, max_retries, &run)
+        })
+    }
+
     #[test]
     fn a_panicking_run_is_isolated_and_reported() {
         let runs = cross(
@@ -1044,12 +987,11 @@ mod tests {
             &[EngineSpec::nls_table(512)],
         );
         let cfg = small_cfg();
-        let opts = SweepOptions { max_retries: 2 };
-        let outcomes = run_sweep_with(&runs, &cfg, &opts, |spec, cfg| {
-            if spec.bench.name == "li" {
+        let outcomes = sweep_injected(&runs, 2, |claim| {
+            if let Some(spec) = claim.iter().find(|spec| spec.bench.name == "li") {
                 panic!("injected failure for {}", spec.bench.name);
             }
-            run_one(spec, cfg)
+            run_claim_shared(claim, &cfg, &Budget::unlimited())
         });
         assert_eq!(outcomes.len(), 2);
         match &outcomes[0] {
@@ -1061,24 +1003,31 @@ mod tests {
             other => panic!("expected the li run to fail, got {other:?}"),
         }
         let espresso = outcomes[1].as_ref().expect("espresso must survive li's panic");
-        assert_eq!(espresso, &run_one(&runs[1], &cfg));
+        assert_eq!(espresso.results(), run_one(&runs[1], &cfg));
     }
 
     #[test]
-    fn run_sweep_with_tries_each_run_on_its_own_exactly_one_plus_max_retries_times() {
+    fn a_sweep_tries_a_panicking_run_alone_exactly_one_plus_max_retries_times() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let runs = cross(&[BenchProfile::li()], &paper_caches(), &[EngineSpec::nls_table(512)]);
         let poisoned = runs[2].key();
         for max_retries in [0, 2] {
+            // Each run counts the attempts that simulated it: alone, or
+            // in a shared walk that did not panic. A shared walk that
+            // panics is the extra attempt the retry budget leaves out.
             let calls: Vec<AtomicU32> = runs.iter().map(|_| AtomicU32::new(0)).collect();
-            let opts = SweepOptions { max_retries };
-            let outcomes = run_sweep_with(&runs, &small_cfg(), &opts, |spec, _| {
-                let i = runs.iter().position(|r| r.key() == spec.key()).expect("a grid run");
-                calls[i].fetch_add(1, Ordering::Relaxed);
-                if spec.key() == poisoned {
+            let outcomes = sweep_injected(&runs, max_retries, |claim| {
+                let hit = claim.iter().any(|spec| spec.key() == poisoned);
+                if !hit || claim.len() == 1 {
+                    for spec in claim {
+                        let i = runs.iter().position(|r| r.key() == spec.key()).expect("a run");
+                        calls[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                if hit {
                     panic!("injected failure");
                 }
-                Vec::new()
+                claim.iter().map(|_| Outcome::Complete(Vec::new())).collect()
             });
             for ((run, outcome), calls) in runs.iter().zip(&outcomes).zip(&calls) {
                 let want = if run.key() == poisoned { 1 + max_retries } else { 1 };
@@ -1086,6 +1035,54 @@ mod tests {
                 assert_eq!(outcome.is_err(), run.key() == poisoned);
             }
         }
+    }
+
+    #[test]
+    fn sweep_with_a_panicking_engine_completes_every_other_run() {
+        let runs = cross(
+            &[BenchProfile::li(), BenchProfile::espresso(), BenchProfile::gcc()],
+            &[CacheConfig::paper(8, 1), CacheConfig::paper(8, 4)],
+            &[EngineSpec::nls_table(512)],
+        );
+        let cfg = SweepConfig { trace_len: 40_000, seed: 11 };
+        // The injected engine dies on exactly one (bench, cache) pair,
+        // and so does every shared walk that holds it.
+        let outcomes = sweep_injected(&runs, 0, |claim| {
+            if claim.iter().any(|r| r.bench.name == "espresso" && r.cache.label() == "8K 4-way")
+            {
+                panic!("injected: predictor table index out of bounds");
+            }
+            run_claim_shared(claim, &cfg, &Budget::unlimited())
+        });
+
+        assert_eq!(outcomes.len(), runs.len());
+        let failed: Vec<usize> =
+            outcomes.iter().enumerate().filter(|(_, o)| o.is_err()).map(|(i, _)| i).collect();
+        assert_eq!(failed.len(), 1, "exactly the injected run fails");
+        assert_eq!(runs[failed[0]].key(), "espresso | 8K 4-way | nls-table512/gshare");
+
+        // Every surviving run matches an undisturbed sequential run.
+        for (i, outcome) in outcomes.iter().enumerate() {
+            if let Ok(outcome) = outcome {
+                assert_eq!(outcome.results(), run_one(&runs[i], &cfg));
+            }
+        }
+    }
+
+    #[test]
+    fn run_errors_surface_through_the_taxonomy() {
+        let runs = cross(
+            &[BenchProfile::li()],
+            &[CacheConfig::paper(8, 1)],
+            &[EngineSpec::nls_table(512)],
+        );
+        let outcomes =
+            sweep_injected(&runs, 1, |_| -> Vec<Outcome> { panic!("synthetic engine defect") });
+        let err = outcomes.into_iter().next().unwrap().unwrap_err();
+        assert!(matches!(err, RunError::Panicked { attempts: 2, .. }), "{err:?}");
+        let nls: NlsError = err.into();
+        assert_eq!(nls.exit_code(), 4);
+        assert!(nls.to_string().contains("synthetic engine defect"));
     }
 
     #[test]
@@ -1123,9 +1120,8 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
-        let outcomes =
-            run_sweep_supervised(&runs, &small_cfg(), &SweepOptions::default(), &budget, None)
-                .expect("an in-memory sweep cannot fail");
+        let outcomes = run_sweep_supervised(&runs, &small_cfg(), &budget, None)
+            .expect("an in-memory sweep cannot fail");
         assert_eq!(outcomes.len(), runs.len());
         for (i, o) in outcomes.iter().enumerate() {
             match o {
@@ -1146,9 +1142,8 @@ mod tests {
             &[EngineSpec::nls_table(512)],
         );
         let budget = Budget::unlimited().with_max_records(5_000);
-        let outcomes =
-            run_sweep_supervised(&runs, &small_cfg(), &SweepOptions::default(), &budget, None)
-                .expect("an in-memory sweep cannot fail");
+        let outcomes = run_sweep_supervised(&runs, &small_cfg(), &budget, None)
+            .expect("an in-memory sweep cannot fail");
         for o in &outcomes {
             let outcome = o.as_ref().expect("record limits degrade, they do not error");
             assert_eq!(outcome.stop_reason(), Some(&StopReason::RecordLimit { limit: 5_000 }));
@@ -1185,10 +1180,9 @@ mod tests {
             &[EngineSpec::nls_table(512)],
         );
         let cfg = small_cfg();
-        let opts = SweepOptions::default();
         let budget = Budget::unlimited().with_max_records(1_000);
         let file = ledger_for(&path, &runs, false);
-        let degraded = run_sweep_supervised(&runs, &cfg, &opts, &budget, Some(&file))
+        let degraded = run_sweep_supervised(&runs, &cfg, &budget, Some(&file))
             .expect("the durable sweep merges");
         assert!(
             matches!(&degraded[0], Err(RunError::Interrupted { .. })),
@@ -1206,9 +1200,8 @@ mod tests {
         );
 
         let file = ledger_for(&path, &runs, true);
-        let complete =
-            run_sweep_supervised(&runs, &cfg, &opts, &Budget::unlimited(), Some(&file))
-                .expect("the resumed sweep merges");
+        let complete = run_sweep_supervised(&runs, &cfg, &Budget::unlimited(), Some(&file))
+            .expect("the resumed sweep merges");
         assert!(complete[0].as_ref().expect("clean run").is_complete());
         let ledger = file.read(&CancelToken::new()).expect("readable");
         assert_eq!(
@@ -1229,14 +1222,8 @@ mod tests {
         let file = LedgerFile::new(&path);
         let foreign = vec!["not | a real | cell".to_string()];
         file.init(Ledger::new(&small_cfg(), 5_000, 3, foreign), false).expect("fresh ledger");
-        let err = run_sweep_supervised(
-            &runs,
-            &small_cfg(),
-            &SweepOptions::default(),
-            &Budget::unlimited(),
-            Some(&file),
-        )
-        .expect_err("a cell with no matching run is a ledger error");
+        let err = run_sweep_supervised(&runs, &small_cfg(), &Budget::unlimited(), Some(&file))
+            .expect_err("a cell with no matching run is a ledger error");
         assert_eq!(err.exit_code(), 8, "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -1267,7 +1254,6 @@ mod tests {
                     let report = run_ledger_worker(
                         runs,
                         cfg,
-                        &SweepOptions::default(),
                         &Budget::unlimited(),
                         &file,
                         &format!("w{w}"),
@@ -1323,7 +1309,6 @@ mod tests {
             let report = run_ledger_worker(
                 &worker_runs,
                 &cfg,
-                &SweepOptions::default(),
                 &Budget::unlimited(),
                 &worker_file,
                 "w0",
@@ -1369,16 +1354,8 @@ mod tests {
         let file = LedgerFile::new(&path);
         file.init(Ledger::new(&cfg, 5_000, 3, vec!["not | a real | cell".to_string()]), false)
             .expect("fresh ledger");
-        let err = run_ledger_worker(
-            &runs,
-            &cfg,
-            &SweepOptions::default(),
-            &Budget::unlimited(),
-            &file,
-            "w0",
-            1,
-        )
-        .expect_err("a cell with no matching run is a ledger error");
+        let err = run_ledger_worker(&runs, &cfg, &Budget::unlimited(), &file, "w0", 1)
+            .expect_err("a cell with no matching run is a ledger error");
         assert_eq!(err.exit_code(), 8, "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -1401,9 +1378,8 @@ mod tests {
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
         let file = ledger_for(&path, &runs, false);
-        let first =
-            run_sweep_supervised(&runs, &cfg, &SweepOptions::default(), &budget, Some(&file))
-                .expect("an interrupted durable sweep still merges");
+        let first = run_sweep_supervised(&runs, &cfg, &budget, Some(&file))
+            .expect("an interrupted durable sweep still merges");
         assert!(
             first.iter().all(|r| matches!(r, Err(RunError::Interrupted { .. }))),
             "{first:?}"
@@ -1411,14 +1387,8 @@ mod tests {
         assert!(path.exists(), "the ledger outlives an interrupted sweep");
 
         let file = ledger_for(&path, &runs, true);
-        let resumed = run_sweep_supervised(
-            &runs,
-            &cfg,
-            &SweepOptions::default(),
-            &Budget::unlimited(),
-            Some(&file),
-        )
-        .expect("resume succeeds");
+        let resumed = run_sweep_supervised(&runs, &cfg, &Budget::unlimited(), Some(&file))
+            .expect("resume succeeds");
         let flat: Vec<SimResult> = resumed
             .into_iter()
             .map(|r| r.expect("all runs complete on resume").into_results())

@@ -1,14 +1,14 @@
-//! Fault-tolerance integration tests: panic-isolated sweeps,
-//! durable sweeps resumed from a work ledger, and the invariant oracle
-//! against real engines.
+//! Fault-tolerance integration tests: durable sweeps resumed from a
+//! work ledger, and the invariant oracle against real engines. Panic
+//! isolation is tested on the sweep executor itself, in `sweep`'s unit
+//! tests.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use nls_core::{
-    cross, oracle, run_one, run_sweep_supervised, run_sweep_with, Budget, CancelToken,
-    CellState, ClaimOutcome, EngineSpec, Ledger, LedgerFile, NlsError, RunError, RunSpec,
-    SimResult, SweepConfig, SweepOptions,
+    cross, oracle, run_one, run_sweep_supervised, Budget, CancelToken, CellState, ClaimOutcome,
+    EngineSpec, Ledger, LedgerFile, RunSpec, SimResult, SweepConfig,
 };
 use nls_icache::CacheConfig;
 use nls_trace::BenchProfile;
@@ -25,36 +25,6 @@ fn temp_path(name: &str) -> PathBuf {
     path
 }
 
-#[test]
-fn sweep_with_a_panicking_engine_completes_every_other_run() {
-    let runs = cross(
-        &[BenchProfile::li(), BenchProfile::espresso(), BenchProfile::gcc()],
-        &[CacheConfig::paper(8, 1), CacheConfig::paper(8, 4)],
-        &[EngineSpec::nls_table(512)],
-    );
-    let opts = SweepOptions { max_retries: 0 };
-    // The injected engine dies on exactly one (bench, cache) pair.
-    let outcomes = run_sweep_with(&runs, &cfg(), &opts, |spec, cfg| {
-        if spec.bench.name == "espresso" && spec.cache.label() == "8K 4-way" {
-            panic!("injected: predictor table index out of bounds");
-        }
-        run_one(spec, cfg)
-    });
-
-    assert_eq!(outcomes.len(), runs.len());
-    let failed: Vec<usize> =
-        outcomes.iter().enumerate().filter(|(_, o)| o.is_err()).map(|(i, _)| i).collect();
-    assert_eq!(failed.len(), 1, "exactly the injected run fails");
-    assert_eq!(runs[failed[0]].key(), "espresso | 8K 4-way | nls-table512/gshare");
-
-    // Every surviving run matches an undisturbed sequential run.
-    for (i, outcome) in outcomes.iter().enumerate() {
-        if let Ok(results) = outcome {
-            assert_eq!(results, &run_one(&runs[i], &cfg()));
-        }
-    }
-}
-
 /// Initialises the ledger at `path` for `runs` (fresh, or with
 /// `resume` the one there) with one attempt per cell.
 fn init_ledger(path: &Path, runs: &[RunSpec], resume: bool) -> LedgerFile {
@@ -65,17 +35,11 @@ fn init_ledger(path: &Path, runs: &[RunSpec], resume: bool) -> LedgerFile {
 
 /// A durable sweep of `runs` over `file`, each run's results in order.
 fn durable_sweep(runs: &[RunSpec], file: &LedgerFile) -> Vec<Vec<SimResult>> {
-    run_sweep_supervised(
-        runs,
-        &cfg(),
-        &SweepOptions::default(),
-        &Budget::unlimited(),
-        Some(file),
-    )
-    .unwrap()
-    .into_iter()
-    .map(|r| r.expect("every run completes").into_results())
-    .collect()
+    run_sweep_supervised(runs, &cfg(), &Budget::unlimited(), Some(file))
+        .unwrap()
+        .into_iter()
+        .map(|r| r.expect("every run completes").into_results())
+        .collect()
 }
 
 /// Claims every cell of `file` for worker `w0` and hands each claimed
@@ -190,22 +154,4 @@ fn btb_and_nls_table_agree_on_pht_outcomes() {
             assert!(findings.is_empty(), "{} @ {}: {findings:?}", bench.name, cache.label());
         }
     }
-}
-
-#[test]
-fn run_errors_surface_through_the_taxonomy() {
-    let runs = cross(
-        &[BenchProfile::li()],
-        &[CacheConfig::paper(8, 1)],
-        &[EngineSpec::nls_table(512)],
-    );
-    let opts = SweepOptions { max_retries: 1 };
-    let outcomes = run_sweep_with(&runs, &cfg(), &opts, |_, _| -> Vec<nls_core::SimResult> {
-        panic!("synthetic engine defect")
-    });
-    let err = outcomes.into_iter().next().unwrap().unwrap_err();
-    assert!(matches!(err, RunError::Panicked { attempts: 2, .. }), "{err:?}");
-    let nls: NlsError = err.into();
-    assert_eq!(nls.exit_code(), 4);
-    assert!(nls.to_string().contains("synthetic engine defect"));
 }

@@ -28,10 +28,10 @@
 //!
 //! A staging write whose tmp path is a *parameter* (never bound by a
 //! `let` in the body) is delegated staging: the caller created the
-//! tmp and owns its rename/cleanup — the `write_trace_atomic` →
-//! `stream_to_file` shape, where the atomic wrapper renames on `Ok`
-//! and removes on `Err`. Only the function that binds the tmp path
-//! carries the release duty.
+//! tmp and owns its rename/cleanup — a helper filling the tmp of an
+//! atomic wrapper, which renames it on `Ok` and removes it on `Err`.
+//! Only the function that binds the tmp path carries the release
+//! duty.
 
 use std::collections::BTreeSet;
 

@@ -24,9 +24,10 @@
 //! * [`TraceWriter`] streams records out through a buffered writer
 //!   and back-patches the header count on [`TraceWriter::finish`],
 //!   so the full record set is never materialised.
-//! * [`write_trace_atomic`] additionally writes through a temporary
-//!   sibling file, fsyncs, and renames into place, so an interrupted
-//!   generation never leaves a truncated-but-valid-looking file.
+//! * [`write_trace_atomic`] additionally writes through a staging
+//!   sibling file of its own, fsyncs, and renames into place
+//!   ([`write_atomic`]'s protocol), so an interrupted generation never
+//!   leaves a truncated-but-valid-looking file.
 //!
 //! [`read_trace`] and [`write_trace`] remain as convenience wrappers
 //! for small traces and tests.
@@ -34,6 +35,7 @@
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::addr::Addr;
 use crate::record::{BreakKind, InstClass, TraceRecord};
@@ -489,69 +491,84 @@ where
 }
 
 /// Streams `records` into the file at `path` crash-safely: the
-/// trace is written through a [`TraceWriter`] to a temporary sibling
-/// (`<path>.tmp`), fsynced, and atomically renamed into place. An
-/// interrupted generation leaves either the old file or no file —
-/// never a truncated-but-valid-looking trace.
+/// trace is written through a [`TraceWriter`] to a staging sibling,
+/// fsynced, and atomically renamed into place, by the protocol of
+/// [`write_atomic`]. An interrupted generation leaves either the old
+/// file or no file — never a truncated-but-valid-looking trace — and
+/// concurrent writers to one path each replace it whole.
 ///
 /// # Errors
 ///
-/// Returns any underlying I/O error; the temporary file is removed
-/// on failure.
+/// Returns any underlying I/O error; the staging file is removed on
+/// failure.
 pub fn write_trace_atomic<P, I>(path: P, records: I) -> Result<u64, TraceFileError>
 where
     P: AsRef<Path>,
     I: IntoIterator<Item = TraceRecord>,
 {
-    let path = path.as_ref();
-    let tmp = tmp_sibling(path);
-    match stream_to_file(&tmp, records) {
-        Ok(n) => {
-            std::fs::rename(&tmp, path)?;
-            sync_parent_dir(path);
-            Ok(n)
-        }
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+    replace_atomic(path.as_ref(), |file| {
+        let mut w = TraceWriter::new(file)?;
+        w.write_records(records)?;
+        Ok(w.finish()?.1)
+    })
+}
+
+/// Replaces the file at `path` with `text` crash-safely: the one
+/// durable-write protocol of the workspace (trace files, the work
+/// ledger's snapshots, the service's job files and result cache, the
+/// bench results). The text goes to a staging sibling named for this
+/// writer alone (`<path>.<pid>.<sequence>.tmp`), which is fsynced and
+/// renamed over the target before the parent directory is fsynced, so
+/// the rename itself is durable. Concurrent writers to one path,
+/// threads or processes, never share a staging file: none can rename
+/// another's away, and the target always holds one whole write (the
+/// last rename's).
+///
+/// # Errors
+///
+/// Any I/O failure along that sequence; the staging file is removed
+/// on error, and the target is untouched unless the rename landed.
+pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
+    replace_atomic(path, |file| file.write_all(text.as_bytes()))
+}
+
+/// The protocol of [`write_atomic`], with `write` filling the staging
+/// file.
+fn replace_atomic<T, E: From<io::Error>>(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> Result<T, E>,
+) -> Result<T, E> {
+    static TMP_SEQUENCE: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        TMP_SEQUENCE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let staged = (|| -> Result<T, E> {
+        let mut file = File::create(&tmp)?;
+        let written = write(&mut file)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)?;
+        Ok(written)
+    })();
+    if staged.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
+    staged
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-fn stream_to_file<I>(tmp: &Path, records: I) -> Result<u64, TraceFileError>
-where
-    I: IntoIterator<Item = TraceRecord>,
-{
-    let file = File::create(tmp)?;
-    let mut w = TraceWriter::new(file)?;
-    w.write_records(records)?;
-    let (file, n) = w.finish()?;
-    file.sync_all()?;
-    Ok(n)
-}
-
-/// Fsyncs the directory containing `path` so the rename itself is
-/// durable (best effort; ignored on platforms without directory
-/// handles).
-fn sync_parent_dir(path: &Path) {
-    #[cfg(unix)]
-    {
-        let parent = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => Path::new("."),
-        };
-        if let Ok(dir) = File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-    #[cfg(not(unix))]
-    let _ = path;
+/// Fsyncs the directory containing `path`, making a just-performed
+/// rename of `path` durable. A path with no parent component syncs
+/// the current directory (`.`), where the rename landed.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    File::open(parent)?.sync_all()
 }
 
 /// Reads a complete `NLST` trace from `r` with the strict
@@ -766,15 +783,73 @@ mod tests {
         assert!(read_trace(&buf[..]).unwrap().is_empty());
     }
 
+    /// The files in `dir` other than `keep`: leftover staging files.
+    fn others(dir: &Path, keep: &str) -> Vec<String> {
+        let names = std::fs::read_dir(dir).unwrap();
+        let names = names.map(|e| e.unwrap().file_name().into_string().unwrap());
+        names.filter(|n| n != keep).collect()
+    }
+
     #[test]
     fn atomic_write_round_trips_and_cleans_up() {
-        let path = std::env::temp_dir().join("nls_file_test_atomic.nlst");
+        let dir = std::env::temp_dir().join(format!("nls-file-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("atomic.nlst");
         let n = write_trace_atomic(&path, sample()).unwrap();
         assert_eq!(n, 5);
         let back = read_trace(File::open(&path).unwrap()).unwrap();
         assert_eq!(back, sample());
-        assert!(!tmp_sibling(&path).exists(), "temporary sibling must be renamed away");
-        std::fs::remove_file(&path).unwrap();
+        assert!(
+            others(&dir, "atomic.nlst").is_empty(),
+            "the staging file must be renamed away"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn racing_writers_to_one_path_each_replace_the_trace_whole() {
+        let dir = std::env::temp_dir().join(format!("nls-file-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("race.nlst");
+        // Four writers of different lengths and addresses, so a trace
+        // that mixed two of them could not equal any one.
+        let traces: Vec<Vec<TraceRecord>> = (0..4u64)
+            .map(|w| {
+                let n = 2_000 + 500 * w;
+                (0..n).map(|i| TraceRecord::sequential(Addr::new((w << 32) + 4 * i))).collect()
+            })
+            .collect();
+        for round in 0..20 {
+            std::thread::scope(|s| {
+                for trace in &traces {
+                    let path = &path;
+                    s.spawn(move || match write_trace_atomic(path, trace.iter().copied()) {
+                        Ok(n) => assert_eq!(n, trace.len() as u64),
+                        Err(e) => panic!("round {round}: a racing write failed: {e}"),
+                    });
+                }
+            });
+            let back = read_trace(File::open(&path).unwrap()).unwrap();
+            assert!(
+                traces.contains(&back),
+                "round {round}: the file is not one writer's trace"
+            );
+            assert!(
+                others(&dir, "race.nlst").is_empty(),
+                "round {round}: a staging file is left"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_parent_directory_sync_resolves_bare_names_and_reports_a_missing_parent() {
+        sync_parent_dir(&std::env::temp_dir().join("any-name.nlst")).unwrap();
+        sync_parent_dir(Path::new("bare-name.nlst")).unwrap();
+        let missing = std::env::temp_dir().join("nls-no-such-subdir").join("t.nlst");
+        assert!(sync_parent_dir(&missing).is_err(), "a missing parent must not be masked");
+        assert!(write_atomic(&missing, "{}").is_err());
+        assert!(write_trace_atomic(&missing, sample()).is_err());
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod weights;
 
 pub use addr::{Addr, INST_BYTES};
 pub use file::{
-    read_trace, read_trace_with, write_trace, write_trace_atomic, RecoveryPolicy,
+    read_trace, read_trace_with, write_atomic, write_trace, write_trace_atomic, RecoveryPolicy,
     TraceFileError, TraceReader, TraceWriter, TRACE_HEADER_BYTES, TRACE_RECORD_BYTES,
 };
 pub use measure::TraceStats;

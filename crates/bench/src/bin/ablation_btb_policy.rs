@@ -6,15 +6,17 @@
 //! policies on the 128-entry direct-mapped BTB.
 
 use nls_bench::{fmt, sweep_config, Table};
-use nls_core::{drive, BtbEngine, FetchEngine, PenaltyModel};
+use nls_core::{run_one, EngineSpec, PenaltyModel, PhtSpec, RunSpec};
 use nls_icache::CacheConfig;
-use nls_predictors::BtbConfig;
-use nls_trace::{synthesize, BenchProfile, GenConfig, Walker};
+use nls_trace::BenchProfile;
 
 fn main() {
     let cfg = sweep_config();
     let m = PenaltyModel::paper();
     let cache = CacheConfig::paper(16, 1);
+    let evict =
+        EngineSpec::Btb { entries: 128, assoc: 1, pht: PhtSpec::Gshare, evict_not_taken: true };
+    let engines = vec![EngineSpec::btb(128, 1), evict];
 
     let mut t = Table::new(
         "Ablation: BTB keep-vs-evict on not-taken (128 direct, 16K cache)",
@@ -23,15 +25,10 @@ fn main() {
     let mut avg = [(0.0f64, 0.0f64); 2];
     let benches = BenchProfile::all();
     for p in &benches {
-        let program = synthesize(p, &GenConfig::for_profile(p));
-        let trace: Vec<_> = Walker::new(&program, cfg.seed).take(cfg.trace_len).collect();
-        let mut engines: Vec<Box<dyn FetchEngine + Send>> = vec![
-            Box::new(BtbEngine::new(BtbConfig::new(128, 1), cache)),
-            Box::new(BtbEngine::new(BtbConfig::new(128, 1), cache).with_evict_on_not_taken()),
-        ];
-        drive(&trace, &mut engines);
-        for (i, (e, policy)) in engines.iter().zip(["keep (paper)", "evict"]).enumerate() {
-            let r = e.result(p.name);
+        let run = RunSpec { bench: p.clone(), cache, engines: engines.clone() };
+        for (i, (r, policy)) in
+            run_one(&run, &cfg).iter().zip(["keep (paper)", "evict"]).enumerate()
+        {
             t.row(vec![
                 p.name.into(),
                 policy.into(),

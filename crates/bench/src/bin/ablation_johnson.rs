@@ -39,7 +39,7 @@ fn main() {
         }
     }
     for spec in &engines {
-        let label = spec.build(cache).label();
+        let label = spec.label();
         let per: Vec<_> = results.iter().filter(|r| r.engine == label).cloned().collect();
         let avg = average(&per);
         t.row(vec![

@@ -29,7 +29,7 @@ fn main() {
         &["engine", "avg BEP", "avg %MfB", "RBE"],
     );
     for spec in &engines {
-        let label = spec.build(cache).label();
+        let label = spec.label();
         let per: Vec<_> = results.iter().filter(|r| r.engine == label).cloned().collect();
         let avg = average(&per);
         let rbe = match spec {

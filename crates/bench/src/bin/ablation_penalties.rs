@@ -55,7 +55,7 @@ fn main() {
     );
     for (name, m) in &models {
         for spec in &engines {
-            let label = spec.build(cache).label();
+            let label = spec.label();
             let per: Vec<_> = results.iter().filter(|r| r.engine == label).cloned().collect();
             let avg = average(&per);
             t.row(vec![(*name).into(), label, fmt(avg.bep(m), 3), fmt(avg.cpi(m), 4)]);

@@ -19,12 +19,8 @@ use nls_trace::BenchProfile;
 fn main() {
     let cfg = sweep_config();
     let m = PenaltyModel::paper();
-    let engines = [
-        EngineSpec::NlsTable { entries: 1024, pht: PhtSpec::Gshare },
-        EngineSpec::NlsTable { entries: 1024, pht: PhtSpec::GlobalOnly },
-        EngineSpec::NlsTable { entries: 1024, pht: PhtSpec::Bimodal },
-        EngineSpec::NlsTable { entries: 1024, pht: PhtSpec::Tournament },
-    ];
+    let engines = [PhtSpec::Gshare, PhtSpec::GlobalOnly, PhtSpec::Bimodal, PhtSpec::Tournament]
+        .map(|pht| EngineSpec::NlsTable { entries: 1024, pht, type_table: None });
     let names = ["gshare", "global (Pan et al.)", "bimodal", "tournament"];
     let cache = CacheConfig::paper(16, 1);
     let runs = cross(&BenchProfile::all(), &[cache], &engines);

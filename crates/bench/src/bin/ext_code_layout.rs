@@ -9,9 +9,9 @@
 //! hot-clustered layout for both architectures.
 
 use nls_bench::{fmt, sweep_config, Table};
-use nls_core::{drive, EngineSpec, FetchEngine, PenaltyModel};
+use nls_core::{run_cells_supervised, Budget, EngineSpec, PenaltyModel, RunSpec};
 use nls_icache::CacheConfig;
-use nls_trace::{synthesize, BenchProfile, GenConfig, Layout, Walker};
+use nls_trace::{synthesize, BenchProfile, GenConfig, Layout};
 
 fn main() {
     let cfg = sweep_config();
@@ -23,17 +23,13 @@ fn main() {
     );
 
     for p in BenchProfile::branch_heavy() {
+        let engines = vec![EngineSpec::btb(128, 1), EngineSpec::nls_table(1024)];
+        let run = RunSpec { bench: p.clone(), cache, engines };
         for layout in [Layout::Shuffled, Layout::HotClustered] {
             let gen_cfg = GenConfig { layout, ..GenConfig::for_profile(&p) };
             let program = synthesize(&p, &gen_cfg);
-            let trace: Vec<_> = Walker::new(&program, cfg.seed).take(cfg.trace_len).collect();
-            let mut engines: Vec<Box<dyn FetchEngine + Send>> = vec![
-                EngineSpec::btb(128, 1).build(cache),
-                EngineSpec::nls_table(1024).build(cache),
-            ];
-            drive(&trace, &mut engines);
-            for e in &engines {
-                let r = e.result(p.name);
+            let outcomes = run_cells_supervised(&program, &[&run], &cfg, &Budget::unlimited());
+            for r in outcomes.iter().flat_map(|o| o.results()) {
                 t.row(vec![
                     p.name.into(),
                     format!("{layout:?}"),

@@ -9,9 +9,9 @@
 //! tables.
 
 use nls_bench::{fmt, sweep_config, Table};
-use nls_core::{drive, FetchEngine, NlsTableEngine, PenaltyModel};
+use nls_core::{run_one, EngineSpec, PenaltyModel, PhtSpec, RunSpec};
 use nls_icache::CacheConfig;
-use nls_trace::{synthesize, BenchProfile, GenConfig, Walker};
+use nls_trace::BenchProfile;
 
 fn main() {
     let cfg = sweep_config();
@@ -28,25 +28,20 @@ fn main() {
         ("16K type table", Some(16384)),
     ];
 
+    let engines: Vec<EngineSpec> = variants
+        .iter()
+        .map(|&(_, type_table)| EngineSpec::NlsTable {
+            entries: 1024,
+            pht: PhtSpec::Gshare,
+            type_table,
+        })
+        .collect();
+
     let mut sums = vec![0.0f64; variants.len()];
     let benches = BenchProfile::all();
     for p in &benches {
-        let program = synthesize(p, &GenConfig::for_profile(p));
-        let trace: Vec<_> = Walker::new(&program, cfg.seed).take(cfg.trace_len).collect();
-        let mut engines: Vec<Box<dyn FetchEngine + Send>> = variants
-            .iter()
-            .map(|(_, entries)| {
-                let e = NlsTableEngine::new(1024, cache);
-                let e = match entries {
-                    Some(n) => e.with_type_predictor(*n),
-                    None => e,
-                };
-                Box::new(e) as Box<dyn FetchEngine + Send>
-            })
-            .collect();
-        drive(&trace, &mut engines);
-        for (i, ((name, _), e)) in variants.iter().zip(&engines).enumerate() {
-            let r = e.result(p.name);
+        let run = RunSpec { bench: p.clone(), cache, engines: engines.clone() };
+        for (i, ((name, _), r)) in variants.iter().zip(run_one(&run, &cfg)).enumerate() {
             t.row(vec![
                 p.name.into(),
                 (*name).into(),

@@ -27,7 +27,7 @@ fn main() {
         &["engine", "W=1", "W=2", "W=4", "W=8", "W=8 speedup"],
     );
     for spec in &engines {
-        let label = spec.build(cache).label();
+        let label = spec.label();
         let per: Vec<_> = results.iter().filter(|r| r.engine == label).cloned().collect();
         let avg = average(&per);
         let ipc: Vec<f64> = [1, 2, 4, 8].iter().map(|&w| avg.wide_issue_ipc(w, &m)).collect();

@@ -29,7 +29,7 @@ fn main() {
         cross(&BenchProfile::all(), &[CacheConfig::paper(8, 1)], &btb_specs);
     let btb_results = run_sweep(&btb_runs, &cfg);
     for spec in &btb_specs {
-        let label = spec.build(CacheConfig::paper(8, 1)).label();
+        let label = spec.label();
         let per: Vec<_> = btb_results.iter().filter(|r| r.engine == label).cloned().collect();
         let avg = average(&per);
         let (mf, mp) = avg.bep_split(&m);

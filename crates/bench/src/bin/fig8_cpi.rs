@@ -23,7 +23,7 @@ fn main() {
     );
     for cache in paper_caches() {
         for spec in &engines {
-            let label = spec.build(cache).label();
+            let label = spec.label();
             let per: Vec<_> = results
                 .iter()
                 .filter(|r| r.cache == cache.label() && r.engine == label)

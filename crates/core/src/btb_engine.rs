@@ -4,82 +4,21 @@ use nls_icache::CacheConfig;
 use nls_predictors::{Btb, BtbConfig, Pht, ReturnStack};
 use nls_trace::{BreakKind, TraceRecord};
 
-use crate::engine::{resolve, BreakOutcome, FetchAction, FetchEngine};
-use crate::front_end::{cache_state_bytes, direction, pht_entries, Cells, RAS_BYTES};
-use crate::metrics::SimResult;
-use crate::spec::EngineSpec;
+use crate::engine::{resolve, BreakOutcome, FetchAction};
+use crate::front_end::{cache_state_bytes, direction, pht_entries, RAS_BYTES};
 
-/// The decoupled BTB + PHT + return-stack front end.
+/// The decoupled BTB + PHT + return-stack front end's own state.
 ///
 /// Policies follow the paper: only taken branches are entered into
 /// the BTB; an entry is left in place when its branch executes
-/// not-taken; conditional directions come from the shared PHT for
-/// *all* conditional branches, hit or miss; returns that hit in the
-/// BTB are redirected through the return stack.
+/// not-taken (unless the spec asks to evict it); conditional
+/// directions come from the shared PHT for *all* conditional
+/// branches, hit or miss; returns that hit in the BTB are redirected
+/// through the return stack.
 ///
-/// # Examples
-///
-/// ```
-/// use nls_core::{BtbEngine, FetchEngine};
-/// use nls_icache::CacheConfig;
-/// use nls_predictors::BtbConfig;
-/// use nls_trace::{Addr, BreakKind, TraceRecord};
-///
-/// let mut engine = BtbEngine::new(BtbConfig::new(128, 1), CacheConfig::paper(8, 1));
-/// let branch = TraceRecord::branch(Addr::new(0x100), BreakKind::Unconditional, true, Addr::new(0x800));
-/// engine.step(&branch); // first encounter: misfetch, trains the BTB
-/// let result = engine.result("demo");
-/// assert_eq!(result.misfetches, 1);
-/// ```
-#[derive(Debug)]
-pub struct BtbEngine(pub(crate) Cells);
-
-impl BtbEngine {
-    /// An engine with the paper's shared predictors (4096-entry
-    /// gshare PHT, 32-entry return stack); [`EngineSpec::build`] takes
-    /// other PHTs.
-    pub fn new(btb: BtbConfig, cache: CacheConfig) -> Self {
-        BtbEngine(Cells::alone(cache, EngineSpec::btb(btb.entries, btb.assoc)))
-    }
-
-    /// Policy ablation: evict a conditional branch's entry when it
-    /// executes not-taken, instead of the paper's keep-the-entry
-    /// policy ("we might need the taken target address again in the
-    /// near future", §3).
-    #[must_use]
-    pub fn with_evict_on_not_taken(mut self) -> Self {
-        if let Some(btb) = self.0.free_mut() {
-            btb.evict_not_taken = true;
-        }
-        self
-    }
-}
-
-impl FetchEngine for BtbEngine {
-    fn label(&self) -> String {
-        self.0.label()
-    }
-
-    fn step(&mut self, r: &TraceRecord) -> Option<BreakOutcome> {
-        self.0.step(r)
-    }
-
-    fn step_block(&mut self, block: &[TraceRecord]) {
-        self.0.step_block(block, &[true]);
-    }
-
-    fn result(&self, bench: &str) -> SimResult {
-        self.0.result(bench)
-    }
-
-    fn approx_heap_bytes(&self) -> u64 {
-        self.0.heap_bytes().sum()
-    }
-}
-
-/// The BTB engine's own state. It never reads the cache, so a walk
-/// steps it once for all of its cells, each of which counts the
-/// outcomes of the blocks it ran; the PHT belongs to the walk too.
+/// It never reads the cache, so a walk steps it once for all of its
+/// cells, each of which counts the outcomes of the blocks it ran; the
+/// PHT belongs to the walk too.
 #[derive(Debug)]
 pub(crate) struct BtbCore {
     btb: Btb,
@@ -90,8 +29,8 @@ pub(crate) struct BtbCore {
 }
 
 impl BtbCore {
-    pub(crate) fn new(btb: BtbConfig, pht: usize) -> Self {
-        BtbCore { btb: Btb::new(btb), ras: ReturnStack::paper(), pht, evict_not_taken: false }
+    pub(crate) fn new(btb: BtbConfig, pht: usize, evict_not_taken: bool) -> Self {
+        BtbCore { btb: Btb::new(btb), ras: ReturnStack::paper(), pht, evict_not_taken }
     }
 
     /// The state estimate of a BTB engine with `entries` BTB entries
@@ -100,14 +39,6 @@ impl BtbCore {
     /// entry, the return stack.
     pub(crate) fn state_bytes(cache: &CacheConfig, entries: usize, pht_entries: usize) -> u64 {
         cache_state_bytes(cache) + entries as u64 * 24 + pht_entries as u64 + RAS_BYTES
-    }
-
-    pub(crate) fn label(&self) -> String {
-        if self.evict_not_taken {
-            format!("{} (evict-NT)", self.btb.config().label())
-        } else {
-            self.btb.config().label()
-        }
     }
 
     /// What this engine holds alone on `cache`, reading the walk's
@@ -157,10 +88,12 @@ impl BtbCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front_end::Cell;
+    use crate::spec::EngineSpec;
     use nls_trace::Addr;
 
-    fn engine() -> BtbEngine {
-        BtbEngine::new(BtbConfig::new(128, 1), CacheConfig::paper(8, 1))
+    fn engine() -> Cell {
+        Cell::new(CacheConfig::paper(8, 1), &[EngineSpec::btb(128, 1)])
     }
 
     fn uncond(pc: u64, target: u64) -> TraceRecord {
@@ -178,7 +111,7 @@ mod tests {
     fn sequential_instructions_are_not_breaks() {
         let mut e = engine();
         assert_eq!(e.step(&TraceRecord::sequential(Addr::new(0x100))), None);
-        let r = e.result("t");
+        let r = &e.results("t")[0];
         assert_eq!(r.instructions, 1);
         assert_eq!(r.breaks, 0);
     }
@@ -227,14 +160,27 @@ mod tests {
 
     #[test]
     fn not_taken_conditionals_never_enter_the_btb() {
-        let mut e = engine();
+        let mut core = BtbCore::new(BtbConfig::new(128, 1), 0, false);
         let pc = Addr::new(0x400);
         let r = TraceRecord::branch(pc, BreakKind::Conditional, false, Addr::new(0x900));
         for _ in 0..5 {
-            e.step(&r);
+            core.resolve(&r, BreakKind::Conditional, &[false]);
         }
-        let occupancy = e.0.free_mut().map(|b| b.btb.occupancy());
-        assert_eq!(occupancy, Some(0), "only taken branches are entered");
+        assert_eq!(core.btb.occupancy(), 0, "only taken branches are entered");
+    }
+
+    #[test]
+    fn a_not_taken_execution_evicts_the_entry_only_under_the_evict_policy() {
+        let pc = Addr::new(0x400);
+        let run =
+            |taken| TraceRecord::branch(pc, BreakKind::Conditional, taken, Addr::new(0x900));
+        for (evict, left) in [(false, 1), (true, 0)] {
+            let mut core = BtbCore::new(BtbConfig::new(128, 1), 0, evict);
+            core.resolve(&run(true), BreakKind::Conditional, &[true]);
+            assert_eq!(core.btb.occupancy(), 1);
+            core.resolve(&run(false), BreakKind::Conditional, &[true]);
+            assert_eq!(core.btb.occupancy(), left, "evict_not_taken: {evict}");
+        }
     }
 
     #[test]
@@ -246,7 +192,7 @@ mod tests {
         let program = synthesize(&bench, &GenConfig::for_profile(&bench));
         let trace = Walker::new(&program, 3).take_trace(6 * BLOCK_RECORDS + 99);
         let mut e = engine();
-        let before = e.0.scratch_capacity();
+        let before = e.scratch_capacity();
         assert!(before.iter().all(|&c| c >= BLOCK_RECORDS), "{before:?}");
         // Three full blocks, a short tail block, then one block three
         // times the drive loop's, which the walk passes in chunks.
@@ -256,8 +202,8 @@ mod tests {
             e.step_block(block);
         }
         assert_eq!(long.len(), 3 * BLOCK_RECORDS);
-        assert_eq!(e.0.scratch_capacity(), before);
-        assert_eq!(e.result("t").instructions, trace.len() as u64);
+        assert_eq!(e.scratch_capacity(), before);
+        assert_eq!(e.results("t")[0].instructions, trace.len() as u64);
     }
 
     #[test]
@@ -266,7 +212,7 @@ mod tests {
         for i in 0..10 {
             e.step(&uncond(0x100 + i * 0x40, 0x100 + i * 0x40 + 0x400));
         }
-        let r = e.result("demo");
+        let r = &e.results("demo")[0];
         assert_eq!(r.breaks, 10);
         assert_eq!(r.misfetches + r.mispredicts, 10, "all cold branches penalised");
         assert!(r.icache.accesses >= 10);

@@ -168,7 +168,7 @@ impl Budget {
 
     /// Refuse engine configurations whose estimated state exceeds
     /// `limit` bytes (see
-    /// [`FetchEngine::approx_heap_bytes`](crate::FetchEngine::approx_heap_bytes)).
+    /// [`Cell::approx_heap_bytes`](crate::Cell::approx_heap_bytes)).
     pub fn with_max_heap_bytes(mut self, limit: u64) -> Self {
         self.max_heap_bytes = Some(limit);
         self

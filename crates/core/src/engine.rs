@@ -108,59 +108,28 @@ impl Counters {
     }
 }
 
-/// A complete instruction-fetch architecture under simulation.
+/// One fetch engine alone on a front end of its own, as
+/// [`EngineSpec::build`](crate::EngineSpec::build) returns it: a
+/// [`Cell`](crate::Cell) of one spec.
 pub trait FetchEngine {
-    /// Display label (e.g. `"1024 NLS table"`).
-    fn label(&self) -> String;
-
     /// Feeds one dynamic instruction through the front end.
     /// Returns the penalty classification for breaks.
     fn step(&mut self, r: &TraceRecord) -> Option<BreakOutcome>;
 
     /// Feeds a whole block of dynamic instructions through the front
-    /// end, in order. Must be observably identical to calling
-    /// [`step`](FetchEngine::step) on every record in sequence —
-    /// block size is an execution detail, never a semantic one.
-    ///
-    /// The default does exactly that, so the trait stays object-safe
-    /// and third-party engines keep working; the built-in engines
-    /// override it with the front end's run scan, so dispatch
-    /// happens once per block instead of once per record.
-    fn step_block(&mut self, block: &[TraceRecord]) {
-        for r in block {
-            self.step(r);
-        }
-    }
+    /// end, in order: observably identical to calling
+    /// [`step`](FetchEngine::step) on every record in sequence, but
+    /// with the front end's run scan.
+    fn step_block(&mut self, block: &[TraceRecord]);
 
     /// Packages the accumulated counters as a [`SimResult`].
     fn result(&self, bench: &str) -> SimResult;
 
-    /// Approximate bytes of simulation state this engine holds
-    /// (cache arrays, predictor tables). The heap budget in
-    /// [`Budget`](crate::Budget) compares the sum across a run's
-    /// engines against its limit; the estimate is computed from the
-    /// configured geometry, so it is stable for the whole run.
-    fn approx_heap_bytes(&self) -> u64 {
-        0
-    }
-}
-
-impl FetchEngine for Box<dyn FetchEngine + Send> {
-    fn label(&self) -> String {
-        (**self).label()
-    }
-    fn step(&mut self, r: &TraceRecord) -> Option<BreakOutcome> {
-        (**self).step(r)
-    }
-    fn step_block(&mut self, block: &[TraceRecord]) {
-        (**self).step_block(block)
-    }
-    fn result(&self, bench: &str) -> SimResult {
-        (**self).result(bench)
-    }
-    fn approx_heap_bytes(&self) -> u64 {
-        (**self).approx_heap_bytes()
-    }
+    /// Approximate bytes of simulation state this engine holds (cache
+    /// arrays, predictor tables), computed from the configured
+    /// geometry: what the heap budget in [`Budget`](crate::Budget)
+    /// compares against its limit.
+    fn approx_heap_bytes(&self) -> u64;
 }
 
 /// The fetch-time choice an NLS predictor entry makes, table or

@@ -42,23 +42,21 @@
 //!
 //! The cell reaches its engines through one `match` per hook on
 //! [`Member`]. Every walk is a [`Cells`], built from engine specs by
-//! one [`Builder`]: a sweep claim's several cells, the one cell of a
-//! [`Cell`], and the one engine of each public engine type
-//! ([`BtbEngine`](crate::BtbEngine) and the others,
-//! [`Cells::alone`]).
+//! one [`Builder`]: a sweep claim's several cells, or the one cell of
+//! a [`Cell`], which [`EngineSpec::build`] makes of one spec alone.
 
 use nls_icache::{CacheConfig, InstructionCache};
 use nls_predictors::{BtbConfig, DirectionPredictor, LinePointer, Pht, ReturnStack};
 use nls_trace::{Addr, BreakKind, TraceRecord};
 
 use crate::btb_engine::BtbCore;
-use crate::engine::{BreakOutcome, Counters};
+use crate::engine::{BreakOutcome, Counters, FetchEngine};
 use crate::johnson_engine::JohnsonCore;
 use crate::metrics::SimResult;
 use crate::nls_cache_engine::NlsCacheCore;
 use crate::nls_table_engine::NlsTableCore;
 use crate::spec::{EngineSpec, PhtSpec};
-use crate::supervisor::{Engines, BLOCK_RECORDS};
+use crate::supervisor::BLOCK_RECORDS;
 
 /// The cache frame a record was fetched from.
 #[derive(Debug, Clone, Copy)]
@@ -274,15 +272,6 @@ pub(crate) enum Member {
 }
 
 impl Member {
-    fn label(&self, walk: &WalkHalf) -> String {
-        match self {
-            Member::Free(i, _) => walk.free.get(*i).map_or_else(String::new, BtbCore::label),
-            Member::NlsTable(e) => e.label(),
-            Member::NlsCache(e) => e.label(),
-            Member::Johnson(e) => e.label(),
-        }
-    }
-
     fn counters(&self) -> &Counters {
         match self {
             Member::Free(_, counters) => counters,
@@ -372,7 +361,7 @@ impl Member {
 }
 
 /// The cell half of a front end: one cell's cache, its instruction
-/// count and its engines.
+/// count and its engines, with the spec each was built from.
 #[derive(Debug)]
 pub(crate) struct CellHalf {
     cache: InstructionCache,
@@ -388,10 +377,17 @@ pub(crate) struct CellHalf {
     /// line stays there, most recently used, until the next one.
     last: Option<(u64, Frame)>,
     members: Vec<Member>,
+    /// Each member's spec, which names its results.
+    specs: Vec<EngineSpec>,
 }
 
 impl CellHalf {
-    fn new(cache: CacheConfig, scan: usize, members: Vec<Member>) -> Self {
+    fn new(
+        cache: CacheConfig,
+        scan: usize,
+        members: Vec<Member>,
+        specs: &[EngineSpec],
+    ) -> Self {
         CellHalf {
             shift: line_shift(&cache),
             cache: InstructionCache::new(cache),
@@ -400,6 +396,7 @@ impl CellHalf {
             successor_due: false,
             last: None,
             members,
+            specs: specs.to_vec(),
         }
     }
 
@@ -498,12 +495,12 @@ impl CellHalf {
         self.members.iter().map(|m| m.heap_bytes(self.cache.config(), walk)).sum()
     }
 
-    /// Member `m`'s counters and this cell's cache statistics as the
-    /// [`SimResult`] for `bench`.
-    fn result(&self, m: &Member, walk: &WalkHalf, bench: &str) -> SimResult {
+    /// Member `m`'s counters, under its `spec`'s label, and this cell's
+    /// cache statistics as the [`SimResult`] for `bench`.
+    fn result(&self, m: &Member, spec: &EngineSpec, bench: &str) -> SimResult {
         let counters = m.counters();
         SimResult {
-            engine: m.label(walk),
+            engine: spec.label(),
             bench: bench.to_string(),
             cache: self.cache.config().label(),
             instructions: self.instructions,
@@ -516,8 +513,12 @@ impl CellHalf {
     }
 
     /// One result per engine, in order, labelled `bench`.
-    fn results(&self, walk: &WalkHalf, bench: &str) -> Vec<SimResult> {
-        self.members.iter().map(|m| self.result(m, walk, bench)).collect()
+    fn results(&self, bench: &str) -> Vec<SimResult> {
+        self.members
+            .iter()
+            .zip(&self.specs)
+            .map(|(m, spec)| self.result(m, spec, bench))
+            .collect()
     }
 }
 
@@ -527,8 +528,9 @@ impl CellHalf {
 #[derive(Default)]
 struct Builder {
     phts: Vec<PhtSpec>,
-    /// Each distinct BTB's entries, associativity and PHT index.
-    free: Vec<(usize, u32, usize)>,
+    /// Each distinct BTB's entries, associativity, PHT index and
+    /// not-taken policy: its whole spec.
+    free: Vec<(usize, u32, usize, bool)>,
     shifts: Vec<u32>,
 }
 
@@ -549,12 +551,13 @@ impl Builder {
             .map(|spec| {
                 let pht = spec.pht().map_or(0, |p| index_of(&mut self.phts, p));
                 match *spec {
-                    EngineSpec::Btb { entries, assoc, .. } => {
-                        let i = index_of(&mut self.free, (entries, assoc, pht));
+                    EngineSpec::Btb { entries, assoc, evict_not_taken, .. } => {
+                        let i =
+                            index_of(&mut self.free, (entries, assoc, pht, evict_not_taken));
                         Member::Free(i, Counters::default())
                     }
-                    EngineSpec::NlsTable { entries, .. } => {
-                        Member::NlsTable(NlsTableCore::new(entries, pht))
+                    EngineSpec::NlsTable { entries, type_table, .. } => {
+                        Member::NlsTable(NlsTableCore::new(entries, pht, type_table))
                     }
                     EngineSpec::NlsCache { preds_per_line, .. } => {
                         Member::NlsCache(NlsCacheCore::new(&cache, preds_per_line, pht))
@@ -565,7 +568,7 @@ impl Builder {
                 }
             })
             .collect();
-        CellHalf::new(cache, scan, members)
+        CellHalf::new(cache, scan, members, specs)
     }
 
     /// The walk half of every cell built so far.
@@ -574,7 +577,9 @@ impl Builder {
             self.phts.into_iter().map(PhtSpec::build).collect(),
             self.free
                 .into_iter()
-                .map(|(entries, assoc, pht)| BtbCore::new(BtbConfig::new(entries, assoc), pht))
+                .map(|(entries, assoc, pht, evict_not_taken)| {
+                    BtbCore::new(BtbConfig::new(entries, assoc), pht, evict_not_taken)
+                })
                 .collect(),
             &self.shifts,
         )
@@ -584,13 +589,15 @@ impl Builder {
 /// A cell's engines on one walk of their own: the instruction cache,
 /// one PHT per distinct [`PhtSpec`], one engine per distinct
 /// cache-free spec and the run scan are simulated once for all of
-/// them. Every result equals that of the engine built alone with
-/// [`EngineSpec::build`] and fed the same records.
+/// them. Every result equals that of the engine alone, in a cell of
+/// its own, fed the same records.
 ///
 /// `nls replay` drives one with
 /// [`drive_records_supervised`](crate::drive_records_supervised);
 /// [`run_cells_supervised`](crate::run_cells_supervised) runs several
-/// cells on one walk the same way.
+/// cells on one walk the same way, and
+/// [`drive_supervised_scalar`](crate::drive_supervised_scalar) steps
+/// cells one record at a time.
 ///
 /// # Examples
 ///
@@ -601,14 +608,18 @@ impl Builder {
 ///
 /// let specs = [EngineSpec::btb(128, 1), EngineSpec::nls_table(1024)];
 /// let mut cell = Cell::new(CacheConfig::paper(8, 1), &specs);
-/// let trace = [
-///     TraceRecord::branch(Addr::new(0x100), BreakKind::Unconditional, true, Addr::new(0x800)),
-///     TraceRecord::sequential(Addr::new(0x800)),
-/// ];
+/// let branch =
+///     TraceRecord::branch(Addr::new(0x100), BreakKind::Unconditional, true, Addr::new(0x800));
+/// let target = TraceRecord::sequential(Addr::new(0x800));
+/// // Cold, both engines misfetch the branch. The BTB learns its
+/// // target when it resolves; the NLS table's pointer is written when
+/// // the target is fetched. The second time, both fetch it right.
+/// let trace = [branch, target, branch, target];
 /// assert_eq!(drive_records_supervised(trace, &mut cell, &Budget::unlimited()), None);
 /// let results = cell.results("demo");
 /// assert_eq!(results.len(), 2);
-/// assert!(results.iter().all(|r| r.instructions == 2 && r.misfetches == 1));
+/// assert_eq!(results[0].engine, "128 direct BTB");
+/// assert!(results.iter().all(|r| r.instructions == 4 && r.breaks == 2 && r.misfetches == 1));
 /// ```
 #[derive(Debug)]
 pub struct Cell(Cells);
@@ -623,22 +634,64 @@ impl Cell {
     pub fn results(&self, bench: &str) -> Vec<SimResult> {
         self.0.results([bench]).concat()
     }
-}
 
-impl Engines for Cell {
-    fn step_block(&mut self, block: &[TraceRecord]) {
+    /// The state estimate the heap budget is checked against: the sum
+    /// of what each engine would hold alone.
+    pub fn approx_heap_bytes(&self) -> u64 {
+        self.0.heap_bytes().sum()
+    }
+
+    /// Feeds `block` to every engine, in order.
+    pub(crate) fn step_block(&mut self, block: &[TraceRecord]) {
         self.0.step_block(block, &[true]);
     }
 
-    /// The sum of what each engine would hold alone.
+    /// Feeds one record to every engine, with one real cache access
+    /// ([`Cells::step`]); returns the last engine's outcome at a break.
+    pub(crate) fn step(&mut self, r: &TraceRecord) -> Option<BreakOutcome> {
+        self.0.step(r)
+    }
+
+    /// The capacity of each of the walk's scratch buffers.
+    #[cfg(test)]
+    pub(crate) fn scratch_capacity(&self) -> Vec<usize> {
+        self.0.walk.scratch_capacity()
+    }
+}
+
+/// One engine alone on a front end of its own: a [`Cell`] of one spec,
+/// as [`EngineSpec::build`] returns it.
+#[derive(Debug)]
+pub(crate) struct BuiltEngine(Cell);
+
+impl BuiltEngine {
+    pub(crate) fn new(cache: CacheConfig, spec: EngineSpec) -> Self {
+        BuiltEngine(Cell::new(cache, std::slice::from_ref(&spec)))
+    }
+}
+
+impl FetchEngine for BuiltEngine {
+    fn step(&mut self, r: &TraceRecord) -> Option<BreakOutcome> {
+        self.0.step(r)
+    }
+
+    fn step_block(&mut self, block: &[TraceRecord]) {
+        self.0.step_block(block);
+    }
+
+    /// The one engine's result (a cell of one spec has exactly one).
+    fn result(&self, bench: &str) -> SimResult {
+        self.0.results(bench).pop().unwrap_or_default()
+    }
+
     fn approx_heap_bytes(&self) -> u64 {
-        self.0.heap_bytes().sum()
+        self.0.approx_heap_bytes()
     }
 }
 
 /// Spec-built cells on one walk: the cells of a
-/// [`run_cells_supervised`](crate::run_cells_supervised) claim, the one
-/// cell of a [`Cell`], or the one engine of a public engine type.
+/// [`run_cells_supervised`](crate::run_cells_supervised) claim, or the
+/// one cell of a [`Cell`].
 #[derive(Debug)]
 pub(crate) struct Cells {
     walk: WalkHalf,
@@ -654,13 +707,6 @@ impl Cells {
         let cells =
             cells.into_iter().map(|(cache, specs)| builder.cell(cache, specs)).collect();
         Cells { walk: builder.walk(), cells }
-    }
-
-    /// The engine `spec` alone on `cache`: one cell of one engine, the
-    /// body of each public engine type ([`BtbEngine`](crate::BtbEngine)
-    /// and the others).
-    pub(crate) fn alone(cache: CacheConfig, spec: EngineSpec) -> Self {
-        Cells::new([(cache, std::slice::from_ref(&spec))])
     }
 
     /// Feeds `block` to each cell whose `running` flag is set.
@@ -688,35 +734,6 @@ impl Cells {
         last
     }
 
-    /// The first engine of the first cell, with its cell: the engine of
-    /// a walk of one.
-    fn first(&self) -> Option<(&CellHalf, &Member)> {
-        let cell = self.cells.first()?;
-        Some((cell, cell.members.first()?))
-    }
-
-    /// The first engine of the first cell, for the options only the
-    /// public engine types have.
-    pub(crate) fn first_mut(&mut self) -> Option<&mut Member> {
-        self.cells.first_mut()?.members.first_mut()
-    }
-
-    /// The walk's first cache-free engine: a walk of one BTB's BTB.
-    pub(crate) fn free_mut(&mut self) -> Option<&mut BtbCore> {
-        self.walk.free.first_mut()
-    }
-
-    /// The label of the first engine of the first cell.
-    pub(crate) fn label(&self) -> String {
-        self.first().map_or_else(String::new, |(_, m)| m.label(&self.walk))
-    }
-
-    /// The result of the first engine of the first cell, labelled
-    /// `bench`.
-    pub(crate) fn result(&self, bench: &str) -> SimResult {
-        self.first().map_or_else(SimResult::default, |(c, m)| c.result(m, &self.walk, bench))
-    }
-
     /// Each cell's heap estimate, in order.
     pub(crate) fn heap_bytes(&self) -> impl Iterator<Item = u64> + '_ {
         self.cells.iter().map(|c| c.heap_bytes(&self.walk))
@@ -727,12 +744,6 @@ impl Cells {
         &self,
         benches: impl IntoIterator<Item = &'b str>,
     ) -> Vec<Vec<SimResult>> {
-        self.cells.iter().zip(benches).map(|(c, bench)| c.results(&self.walk, bench)).collect()
-    }
-
-    /// The capacity of each of the walk's scratch buffers.
-    #[cfg(test)]
-    pub(crate) fn scratch_capacity(&self) -> Vec<usize> {
-        self.walk.scratch_capacity()
+        self.cells.iter().zip(benches).map(|(c, bench)| c.results(bench)).collect()
     }
 }

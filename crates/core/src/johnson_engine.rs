@@ -13,10 +13,8 @@ use nls_icache::{CacheConfig, InstructionCache};
 use nls_predictors::{JohnsonPredictors, LinePointer, NlsCacheConfig, NlsCachePredictors};
 use nls_trace::{Addr, BreakKind, TraceRecord};
 
-use crate::engine::{BreakOutcome, Counters, FetchEngine};
-use crate::front_end::{cache_lines, cache_state_bytes, Cells, Frame};
-use crate::metrics::SimResult;
-use crate::spec::EngineSpec;
+use crate::engine::{BreakOutcome, Counters};
+use crate::front_end::{cache_lines, cache_state_bytes, Frame};
 
 #[derive(Debug, Clone, Copy)]
 struct PendingSlot {
@@ -25,50 +23,8 @@ struct PendingSlot {
     inst: u32,
 }
 
-/// The Johnson successor-index front end.
-///
-/// # Examples
-///
-/// ```
-/// use nls_core::{FetchEngine, JohnsonEngine};
-/// use nls_icache::CacheConfig;
-///
-/// let engine = JohnsonEngine::new(CacheConfig::paper(8, 1), 2);
-/// assert_eq!(engine.label(), "Johnson successor index (2/line)");
-/// ```
-#[derive(Debug)]
-pub struct JohnsonEngine(pub(crate) Cells);
-
-impl JohnsonEngine {
-    /// An engine whose successor-index array matches `cache`.
-    pub fn new(cache: CacheConfig, preds_per_line: u32) -> Self {
-        JohnsonEngine(Cells::alone(cache, EngineSpec::Johnson { preds_per_line }))
-    }
-}
-
-impl FetchEngine for JohnsonEngine {
-    fn label(&self) -> String {
-        self.0.label()
-    }
-
-    fn step(&mut self, r: &TraceRecord) -> Option<BreakOutcome> {
-        self.0.step(r)
-    }
-
-    fn step_block(&mut self, block: &[TraceRecord]) {
-        self.0.step_block(block, &[true]);
-    }
-
-    fn result(&self, bench: &str) -> SimResult {
-        self.0.result(bench)
-    }
-
-    fn approx_heap_bytes(&self) -> u64 {
-        self.0.heap_bytes().sum()
-    }
-}
-
-/// The Johnson engine's own state; the cache belongs to its cell.
+/// The Johnson successor-index front end's own state; the cache
+/// belongs to its cell.
 #[derive(Debug)]
 pub(crate) struct JohnsonCore {
     preds: JohnsonPredictors,
@@ -104,10 +60,6 @@ fn denotes(ptr: LinePointer, addr: Addr, cache: &InstructionCache) -> bool {
 }
 
 impl JohnsonCore {
-    pub(crate) fn label(&self) -> String {
-        format!("Johnson successor index ({}/line)", self.preds.config().preds_per_line)
-    }
-
     pub(crate) fn counters(&self) -> &Counters {
         &self.counters
     }
@@ -193,12 +145,20 @@ impl JohnsonCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front_end::Cell;
+    use crate::spec::EngineSpec;
 
-    fn engine() -> JohnsonEngine {
-        JohnsonEngine::new(CacheConfig::paper(8, 1), 2)
+    /// Johnson's design with two successor pointers per line alone on
+    /// `cache`.
+    fn on(cache: CacheConfig) -> Cell {
+        Cell::new(cache, &[EngineSpec::Johnson { preds_per_line: 2 }])
     }
 
-    fn step_branch(e: &mut JohnsonEngine, r: &TraceRecord) -> BreakOutcome {
+    fn engine() -> Cell {
+        on(CacheConfig::paper(8, 1))
+    }
+
+    fn step_branch(e: &mut Cell, r: &TraceRecord) -> BreakOutcome {
         let out = e.step(r).unwrap();
         e.step(&TraceRecord::sequential(r.next_pc()));
         out
@@ -243,7 +203,7 @@ mod tests {
     #[test]
     fn cache_refill_destroys_the_pointer() {
         let cfg = CacheConfig::paper(8, 1);
-        let mut e = JohnsonEngine::new(cfg, 2);
+        let mut e = on(cfg);
         let r = cond(0x100, true, 0x800);
         step_branch(&mut e, &r);
         assert_eq!(step_branch(&mut e, &r), BreakOutcome::Correct);

@@ -5,14 +5,18 @@
 //! and measures them the way the paper does (Calder & Grunwald,
 //! *Next Cache Line and Set Prediction*, ISCA 1995):
 //!
-//! * [`BtbEngine`] — the decoupled BTB + gshare PHT + return-stack
-//!   baseline of §3.
-//! * [`NlsTableEngine`] — the paper's contribution: a tag-less table
-//!   of next-line/set predictors decoupled from the cache (§4).
-//! * [`NlsCacheEngine`] — the coupled organisation with predictors
-//!   attached to cache lines.
-//! * [`JohnsonEngine`] — the prior successor-index design with
-//!   coupled one-bit prediction (§6.2).
+//! * [`EngineSpec`] — one fetch architecture: the decoupled BTB +
+//!   gshare PHT + return-stack baseline of §3 (`Btb`); the paper's
+//!   contribution, a tag-less table of next-line/set predictors
+//!   decoupled from the cache (§4, `NlsTable`); the coupled
+//!   organisation with predictors attached to cache lines
+//!   (`NlsCache`); and the prior successor-index design with coupled
+//!   one-bit prediction (§6.2, `Johnson`).
+//! * [`Cell`] — a cache and the engines of some specs on one front
+//!   end, so that only the fetch mechanism differs between them;
+//!   [`drive_records_supervised`] feeds it any record stream, and
+//!   [`run_cells_supervised`] walks a synthetic workload through
+//!   several at once.
 //! * [`SimResult`] / [`PenaltyModel`] — %MfB, %MpB, branch execution
 //!   penalty and CPI exactly as defined in §5.2.
 //! * [`run_sweep`] — parallel (benchmark × cache × architecture)
@@ -68,20 +72,16 @@ mod spec;
 mod supervisor;
 mod sweep;
 
-pub use btb_engine::BtbEngine;
 pub use budget::{Budget, CancelToken, StopReason, DEADLINE_POLL_INTERVAL};
 pub use engine::{BreakOutcome, Counters, FetchAction, FetchEngine, KindCounts};
 pub use error::{NlsError, RunError};
 pub use front_end::Cell;
-pub use johnson_engine::JohnsonEngine;
 pub use json::json_string;
 pub use ledger::{
     write_atomic, CellCounts, CellState, ClaimOutcome, Heartbeat, Ledger, LedgerFile,
     DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS, LEDGER_VERSION,
 };
 pub use metrics::{average, SimResult};
-pub use nls_cache_engine::NlsCacheEngine;
-pub use nls_table_engine::NlsTableEngine;
 pub use penalty::PenaltyModel;
 pub use serve::{
     AdmitOutcome, DrainState, Job, JobKind, JobLimits, JobSpec, JobStatus, Registry,
@@ -90,12 +90,10 @@ pub use serve::{
 pub use set_prediction::{fallthrough_way_prediction, FallThroughWayStats};
 pub use spec::{EngineSpec, PhtSpec};
 pub use supervisor::{
-    drive_records_supervised, drive_supervised, drive_supervised_scalar,
-    drive_walker_supervised, estimated_heap_bytes, install_signal_token, run_cells_supervised,
-    run_one_supervised, Engines, Outcome, BLOCK_RECORDS,
+    drive_records_supervised, drive_supervised_scalar, install_signal_token,
+    run_cells_supervised, run_one_supervised, Outcome, BLOCK_RECORDS,
 };
 pub use sweep::{
-    cross, drive, executor_count, merge_ledger_outcomes, paper_caches, run_ledger_worker,
-    run_one, run_sweep, run_sweep_supervised, RunSpec, SweepConfig, WorkerReport,
-    DEFAULT_TRACE_LEN,
+    cross, executor_count, merge_ledger_outcomes, paper_caches, run_ledger_worker, run_one,
+    run_sweep, run_sweep_supervised, RunSpec, SweepConfig, WorkerReport, DEFAULT_TRACE_LEN,
 };

@@ -6,12 +6,10 @@ use nls_icache::{CacheConfig, InstructionCache};
 use nls_predictors::{NlsCacheConfig, NlsCachePredictors, Pht, ReturnStack};
 use nls_trace::{BreakKind, TraceRecord};
 
-use crate::engine::{nls_action, resolve, BreakOutcome, Counters, FetchEngine};
+use crate::engine::{nls_action, resolve, BreakOutcome, Counters};
 use crate::front_end::{
-    cache_lines, cache_state_bytes, direction, pht_entries, Cells, Frame, RAS_BYTES,
+    cache_lines, cache_state_bytes, direction, pht_entries, Frame, RAS_BYTES,
 };
-use crate::metrics::SimResult;
-use crate::spec::EngineSpec;
 
 /// A pending coupled-predictor update: slot coordinates captured at
 /// the branch's fetch, committed when the successor is fetched.
@@ -24,58 +22,12 @@ struct PendingSlot {
     taken: bool,
 }
 
-/// The coupled NLS-cache front end.
-///
-/// Each instruction-cache frame carries `preds_per_line` NLS
-/// predictors (the paper recommends two per 8-instruction line).
-/// Refilling a frame destroys its predictors — the structural
-/// disadvantage the NLS-table removes.
-///
-/// # Examples
-///
-/// ```
-/// use nls_core::{FetchEngine, NlsCacheEngine};
-/// use nls_icache::CacheConfig;
-///
-/// let engine = NlsCacheEngine::new(CacheConfig::paper(8, 1), 2);
-/// assert_eq!(engine.label(), "NLS cache (2/line)");
-/// ```
-#[derive(Debug)]
-pub struct NlsCacheEngine(pub(crate) Cells);
-
-impl NlsCacheEngine {
-    /// An engine whose predictor array matches `cache`, with
-    /// `preds_per_line` predictors per line and the paper's shared
-    /// PHT and return stack; [`EngineSpec::build`] takes other PHTs.
-    pub fn new(cache: CacheConfig, preds_per_line: u32) -> Self {
-        NlsCacheEngine(Cells::alone(cache, EngineSpec::nls_cache(preds_per_line)))
-    }
-}
-
-impl FetchEngine for NlsCacheEngine {
-    fn label(&self) -> String {
-        self.0.label()
-    }
-
-    fn step(&mut self, r: &TraceRecord) -> Option<BreakOutcome> {
-        self.0.step(r)
-    }
-
-    fn step_block(&mut self, block: &[TraceRecord]) {
-        self.0.step_block(block, &[true]);
-    }
-
-    fn result(&self, bench: &str) -> SimResult {
-        self.0.result(bench)
-    }
-
-    fn approx_heap_bytes(&self) -> u64 {
-        self.0.heap_bytes().sum()
-    }
-}
-
-/// The NLS-cache engine's own state; the cache belongs to its cell
-/// and the PHT to its walk.
+/// The coupled NLS-cache front end's own state: the return stack and
+/// `preds_per_line` NLS predictors per instruction-cache frame (the
+/// paper recommends two per 8-instruction line). Refilling a frame
+/// destroys its predictors — the structural disadvantage the
+/// NLS-table removes. The cache belongs to its cell and the PHT to its
+/// walk.
 #[derive(Debug)]
 pub(crate) struct NlsCacheCore {
     preds: NlsCachePredictors,
@@ -111,10 +63,6 @@ impl NlsCacheCore {
             + cache_lines(cache) * u64::from(preds_per_line) * 8
             + pht_entries as u64
             + RAS_BYTES
-    }
-
-    pub(crate) fn label(&self) -> String {
-        format!("NLS cache ({}/line)", self.preds.config().preds_per_line)
     }
 
     pub(crate) fn counters(&self) -> &Counters {
@@ -170,17 +118,24 @@ impl NlsCacheCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front_end::Cell;
+    use crate::spec::EngineSpec;
     use nls_trace::Addr;
 
-    fn engine() -> NlsCacheEngine {
-        NlsCacheEngine::new(CacheConfig::paper(8, 1), 2)
+    /// An NLS cache of two predictors per line alone on `cache`.
+    fn on(cache: CacheConfig) -> Cell {
+        Cell::new(cache, &[EngineSpec::nls_cache(2)])
+    }
+
+    fn engine() -> Cell {
+        on(CacheConfig::paper(8, 1))
     }
 
     fn uncond(pc: u64, target: u64) -> TraceRecord {
         TraceRecord::branch(Addr::new(pc), BreakKind::Unconditional, true, Addr::new(target))
     }
 
-    fn step_branch(e: &mut NlsCacheEngine, r: &TraceRecord) -> BreakOutcome {
+    fn step_branch(e: &mut Cell, r: &TraceRecord) -> BreakOutcome {
         let out = e.step(r).unwrap();
         e.step(&TraceRecord::sequential(r.next_pc()));
         out
@@ -197,7 +152,7 @@ mod tests {
     #[test]
     fn evicting_the_branchs_own_line_destroys_its_predictor() {
         let cfg = CacheConfig::paper(8, 1);
-        let mut e = NlsCacheEngine::new(cfg, 2);
+        let mut e = on(cfg);
         let r = uncond(0x100, 0x800);
         step_branch(&mut e, &r);
         assert_eq!(step_branch(&mut e, &r), BreakOutcome::Correct);
@@ -214,17 +169,12 @@ mod tests {
         // the branch's line is evicted. This is the paper's central
         // argument for the NLS-table.
         let cfg = CacheConfig::paper(8, 1);
-        let mut e = crate::nls_table_engine::NlsTableEngine::new(1024, cfg);
+        let mut e = Cell::new(cfg, &[EngineSpec::nls_table(1024)]);
         let r = uncond(0x100, 0x800);
-        let step = |e: &mut crate::nls_table_engine::NlsTableEngine, r: &TraceRecord| {
-            let o = e.step(r).unwrap();
-            e.step(&TraceRecord::sequential(r.next_pc()));
-            o
-        };
-        step(&mut e, &r);
-        assert_eq!(step(&mut e, &r), BreakOutcome::Correct);
+        step_branch(&mut e, &r);
+        assert_eq!(step_branch(&mut e, &r), BreakOutcome::Correct);
         e.step(&TraceRecord::sequential(Addr::new(0x100 + cfg.size_bytes)));
-        assert_eq!(step(&mut e, &r), BreakOutcome::Correct, "table entry survived");
+        assert_eq!(step_branch(&mut e, &r), BreakOutcome::Correct, "table entry survived");
     }
 
     #[test]

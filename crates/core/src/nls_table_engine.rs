@@ -4,12 +4,8 @@ use nls_icache::{CacheConfig, InstructionCache};
 use nls_predictors::{BranchTypeTable, NlsTable, NlsType, Pht, ReturnStack};
 use nls_trace::{Addr, BreakKind, TraceRecord};
 
-use crate::engine::{nls_action, resolve, BreakOutcome, Counters, FetchAction, FetchEngine};
-use crate::front_end::{
-    cache_state_bytes, direction, pht_entries, Cells, Frame, Member, RAS_BYTES,
-};
-use crate::metrics::SimResult;
-use crate::spec::EngineSpec;
+use crate::engine::{nls_action, resolve, BreakOutcome, Counters, FetchAction};
+use crate::front_end::{cache_state_bytes, direction, pht_entries, Frame, RAS_BYTES};
 
 /// A pending NLS pointer update: a taken branch whose target's cache
 /// location can only be recorded once the target has actually been
@@ -25,75 +21,9 @@ struct PendingUpdate {
     taken: bool,
 }
 
-/// The decoupled NLS-table front end: a tag-less table of next
-/// line/set predictors plus the shared PHT and return stack.
-///
-/// # Examples
-///
-/// ```
-/// use nls_core::{FetchEngine, NlsTableEngine};
-/// use nls_icache::CacheConfig;
-/// use nls_trace::{Addr, BreakKind, TraceRecord};
-///
-/// let mut engine = NlsTableEngine::new(1024, CacheConfig::paper(8, 1));
-/// let branch = TraceRecord::branch(Addr::new(0x100), BreakKind::Unconditional, true, Addr::new(0x800));
-/// engine.step(&branch);                               // cold: misfetch
-/// engine.step(&TraceRecord::sequential(Addr::new(0x800))); // target fetch trains the pointer
-/// let outcome = engine.step(&branch).unwrap();
-/// assert_eq!(outcome, nls_core::BreakOutcome::Correct);
-/// ```
-#[derive(Debug)]
-pub struct NlsTableEngine(pub(crate) Cells);
-
-impl NlsTableEngine {
-    /// An engine with `entries` NLS predictors and the paper's
-    /// shared predictors; [`EngineSpec::build`] takes other PHTs.
-    pub fn new(entries: usize, cache: CacheConfig) -> Self {
-        NlsTableEngine(Cells::alone(cache, EngineSpec::nls_table(entries)))
-    }
-
-    /// Drops the predecode-bit assumption (§4): instruction types
-    /// are predicted at fetch by a tag-less `entries`-bit table
-    /// instead of being known from the instruction encoding. A break
-    /// predicted as non-branch falls through (costing the usual
-    /// penalty), and a *sequential* instruction predicted as a
-    /// branch whose shared NLS entry would redirect costs one extra
-    /// misfetch bubble, counted in [`SimResult::misfetches`] (so
-    /// with this mode enabled, misfetches + mispredicts may exceed
-    /// the break count).
-    #[must_use]
-    pub fn with_type_predictor(mut self, entries: usize) -> Self {
-        if let Some(Member::NlsTable(e)) = self.0.first_mut() {
-            e.type_table = Some(BranchTypeTable::new(entries));
-        }
-        self
-    }
-}
-
-impl FetchEngine for NlsTableEngine {
-    fn label(&self) -> String {
-        self.0.label()
-    }
-
-    fn step(&mut self, r: &TraceRecord) -> Option<BreakOutcome> {
-        self.0.step(r)
-    }
-
-    fn step_block(&mut self, block: &[TraceRecord]) {
-        self.0.step_block(block, &[true]);
-    }
-
-    fn result(&self, bench: &str) -> SimResult {
-        self.0.result(bench)
-    }
-
-    fn approx_heap_bytes(&self) -> u64 {
-        self.0.heap_bytes().sum()
-    }
-}
-
-/// The NLS-table engine's own state; the cache belongs to its cell
-/// and the PHT to its walk.
+/// The decoupled NLS-table front end's own state: a tag-less table of
+/// next line/set predictors and the return stack; the cache belongs
+/// to its cell and the PHT to its walk.
 #[derive(Debug)]
 pub(crate) struct NlsTableCore {
     table: NlsTable,
@@ -102,9 +32,12 @@ pub(crate) struct NlsTableCore {
     pending: Option<PendingUpdate>,
     /// The walk's PHT this engine reads.
     pht: usize,
-    /// §4 extension: when `Some`, the engine does *not* assume a
-    /// predecode bit; branch-ness is predicted by this table at
-    /// fetch and trained at decode.
+    /// §4 extension ([`EngineSpec::NlsTable`]'s `type_table`): when
+    /// `Some`, the engine does *not* assume a predecode bit;
+    /// branch-ness is predicted by this table at fetch and trained at
+    /// decode.
+    ///
+    /// [`EngineSpec::NlsTable`]: crate::EngineSpec::NlsTable
     type_table: Option<BranchTypeTable>,
     /// Whether the record just fetched was predicted to be a branch:
     /// always true for a break with a predecode bit.
@@ -112,14 +45,16 @@ pub(crate) struct NlsTableCore {
 }
 
 impl NlsTableCore {
-    pub(crate) fn new(entries: usize, pht: usize) -> Self {
+    /// A table of `entries` reading the walk's PHT `pht`, with a type
+    /// table of `type_entries` if any.
+    pub(crate) fn new(entries: usize, pht: usize, type_entries: Option<usize>) -> Self {
         NlsTableCore {
             table: NlsTable::new(entries),
             ras: ReturnStack::paper(),
             counters: Counters::default(),
             pending: None,
             pht,
-            type_table: None,
+            type_table: type_entries.map(BranchTypeTable::new),
             predicted_branch: true,
         }
     }
@@ -140,10 +75,6 @@ impl NlsTableCore {
             + pht_entries as u64
             + RAS_BYTES
             + type_entries as u64
-    }
-
-    pub(crate) fn label(&self) -> String {
-        format!("{} NLS table", self.table.len())
     }
 
     pub(crate) fn counters(&self) -> &Counters {
@@ -226,9 +157,24 @@ impl NlsTableCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front_end::Cell;
+    use crate::spec::{EngineSpec, PhtSpec};
 
-    fn engine() -> NlsTableEngine {
-        NlsTableEngine::new(1024, CacheConfig::paper(8, 1))
+    /// An NLS table of `entries` alone on `cache`.
+    fn table(entries: usize, cache: CacheConfig) -> Cell {
+        Cell::new(cache, &[EngineSpec::nls_table(entries)])
+    }
+
+    /// An NLS table of `entries` with a type table of as many, alone on
+    /// the 8K direct cache.
+    fn typed(entries: usize) -> Cell {
+        let spec =
+            EngineSpec::NlsTable { entries, pht: PhtSpec::Gshare, type_table: Some(entries) };
+        Cell::new(CacheConfig::paper(8, 1), &[spec])
+    }
+
+    fn engine() -> Cell {
+        table(1024, CacheConfig::paper(8, 1))
     }
 
     fn uncond(pc: u64, target: u64) -> TraceRecord {
@@ -237,7 +183,7 @@ mod tests {
 
     /// Steps a branch followed by its target instruction, so the
     /// pending pointer update lands.
-    fn step_branch(e: &mut NlsTableEngine, r: &TraceRecord) -> BreakOutcome {
+    fn step_branch(e: &mut Cell, r: &TraceRecord) -> BreakOutcome {
         let out = e.step(r).unwrap();
         e.step(&TraceRecord::sequential(r.next_pc()));
         out
@@ -254,7 +200,7 @@ mod tests {
     #[test]
     fn displaced_target_line_costs_a_misfetch() {
         let cfg = CacheConfig::paper(8, 1);
-        let mut e = NlsTableEngine::new(1024, cfg);
+        let mut e = table(1024, cfg);
         let r = uncond(0x100, 0x800);
         step_branch(&mut e, &r); // train
         assert_eq!(step_branch(&mut e, &r), BreakOutcome::Correct);
@@ -267,7 +213,7 @@ mod tests {
 
     #[test]
     fn aliased_branches_share_an_entry() {
-        let mut e = NlsTableEngine::new(16, CacheConfig::paper(8, 1));
+        let mut e = table(16, CacheConfig::paper(8, 1));
         // Two unconditional branches 16 instruction-slots apart alias.
         let a = uncond(0x100, 0x800);
         let b = uncond(0x100 + 16 * 4, 0x900);
@@ -336,8 +282,7 @@ mod tests {
 
     #[test]
     fn type_predictor_learns_branch_locations() {
-        let mut e =
-            NlsTableEngine::new(1024, CacheConfig::paper(8, 1)).with_type_predictor(1024);
+        let mut e = typed(1024);
         let r = uncond(0x100, 0x800);
         // First pass: predicted non-branch (cold type table) -> the
         // break falls through -> misfetch; second pass: branch-ness
@@ -348,9 +293,7 @@ mod tests {
 
     #[test]
     fn type_predictor_charges_false_positives() {
-        let entries = 16;
-        let mut e =
-            NlsTableEngine::new(entries, CacheConfig::paper(8, 1)).with_type_predictor(entries);
+        let mut e = typed(16);
         // Train a branch, then run a *sequential* instruction that
         // aliases both the type bit and the NLS entry: fetch wrongly
         // redirects -> one extra misfetch with no extra break.
@@ -359,13 +302,12 @@ mod tests {
         let r = uncond(0x100, 0x804);
         step_branch(&mut e, &r);
         step_branch(&mut e, &r);
-        let breaks_before = e.result("t").breaks;
-        let misfetch_before = e.result("t").misfetches;
+        let before = e.results("t").remove(0);
         let aliased = Addr::new(0x100 + 16 * 4);
         e.step(&TraceRecord::sequential(aliased));
-        let after = e.result("t");
-        assert_eq!(after.breaks, breaks_before, "sequential is not a break");
-        assert_eq!(after.misfetches, misfetch_before + 1, "false-positive bubble");
+        let after = e.results("t").remove(0);
+        assert_eq!(after.breaks, before.breaks, "sequential is not a break");
+        assert_eq!(after.misfetches, before.misfetches + 1, "false-positive bubble");
     }
 
     #[test]

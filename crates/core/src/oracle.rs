@@ -12,11 +12,11 @@
 //!
 //! The per-result identities assume the standard classification of
 //! [`Counters::record`](crate::Counters): every break is exactly one
-//! of correct / misfetched / mispredicted. Engines run in the
-//! documented `with_type_predictor` mode break the `misfetches +
-//! mispredicts <= breaks` bound by design (type-mispredicted
-//! *sequential* fetches also count) and are outside the oracle's
-//! domain.
+//! of correct / misfetched / mispredicted. NLS tables with a type
+//! table (`EngineSpec::NlsTable`'s `type_table`) break the
+//! `misfetches + mispredicts <= breaks` bound by design
+//! (type-mispredicted *sequential* fetches also count) and are outside
+//! the oracle's domain.
 
 use nls_trace::BreakKind;
 
@@ -95,9 +95,9 @@ pub fn invariant_violations(r: &SimResult) -> Vec<String> {
 ///
 /// `predict` on a direction predictor is immutable and `update` is
 /// driven identically by both the BTB and NLS-table engines, so two
-/// results measured over the same trace with the same [`PhtSpec`]
-/// (crate::PhtSpec) must report identical conditional-branch break
-/// and mispredict counts — the PHT neither knows nor cares which
+/// results measured over the same trace with the same
+/// [`PhtSpec`](crate::PhtSpec) must report identical conditional-branch
+/// break and mispredict counts — the PHT neither knows nor cares which
 /// fetch architecture sits in front of it. A divergence means one
 /// engine corrupted shared prediction state.
 pub fn pht_agreement_violations(a: &SimResult, b: &SimResult) -> Vec<String> {

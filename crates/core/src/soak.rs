@@ -25,11 +25,9 @@ use nls_trace::faults::{ChaosScheduler, ChaosStream, RuntimeFault};
 use nls_trace::{synthesize, BenchProfile, GenConfig, Walker};
 
 use crate::budget::{Budget, StopReason};
-use crate::engine::FetchEngine;
-use crate::metrics::SimResult;
+use crate::front_end::Cell;
 use crate::oracle::invariant_violations;
 use crate::spec::EngineSpec;
-use crate::supervisor::estimated_heap_bytes;
 
 /// How hard a soak run leans on the simulator.
 #[derive(Debug, Clone)]
@@ -361,13 +359,13 @@ pub fn run_case(cfg: &SoakConfig, seed: u64) -> SoakCase {
 }
 
 /// The soak engine roster: all four fetch architectures, so a chaos
-/// case exercises every step loop in the crate.
-fn soak_engines(cache: CacheConfig) -> Vec<Box<dyn FetchEngine + Send>> {
-    vec![
-        EngineSpec::btb(128, 1).build(cache),
-        EngineSpec::nls_table(1024).build(cache),
-        EngineSpec::nls_cache(2).build(cache),
-        EngineSpec::Johnson { preds_per_line: 2 }.build(cache),
+/// case exercises every engine's hooks.
+fn soak_engines() -> [EngineSpec; 4] {
+    [
+        EngineSpec::btb(128, 1),
+        EngineSpec::nls_table(1024),
+        EngineSpec::nls_cache(2),
+        EngineSpec::Johnson { preds_per_line: 2 },
     ]
 }
 
@@ -388,10 +386,10 @@ fn execute_case(cfg: &SoakConfig, seed: u64, plan: Vec<RuntimeFault>) -> SoakCas
     let gen_cfg = GenConfig::for_profile(&bench);
     let program = synthesize(&bench, &gen_cfg);
     let walker = Walker::new(&program, seed);
-    let mut engines = soak_engines(CacheConfig::paper(8, 1));
+    let mut cell = Cell::new(CacheConfig::paper(8, 1), &soak_engines());
     let budget = case_budget(cfg);
 
-    let heap = estimated_heap_bytes(&engines);
+    let heap = cell.approx_heap_bytes();
     let mut done: u64 = 0;
     let mut verdict = SoakVerdict::Complete;
     for item in ChaosStream::new(walker.take(cfg.trace_len), plan) {
@@ -401,9 +399,7 @@ fn execute_case(cfg: &SoakConfig, seed: u64, plan: Vec<RuntimeFault>) -> SoakCas
         }
         match item {
             Ok(r) => {
-                for e in engines.iter_mut() {
-                    e.step(&r);
-                }
+                cell.step(&r);
                 done += 1;
             }
             Err(e) => {
@@ -413,7 +409,7 @@ fn execute_case(cfg: &SoakConfig, seed: u64, plan: Vec<RuntimeFault>) -> SoakCas
         }
     }
 
-    let results: Vec<SimResult> = engines.iter().map(|e| e.result(bench.name)).collect();
+    let results = cell.results(bench.name);
     let oracle_findings = results.iter().flat_map(invariant_violations).collect();
     SoakCase {
         seed,

@@ -7,10 +7,10 @@
 //! one it gets on a walk of its own ([`run_one_supervised`], the
 //! one-cell case).
 //!
-//! The unsupervised drivers in [`sweep`](crate::sweep) run to
-//! completion or panic; this module wraps the same loops in a
-//! [`Budget`] poll so a run that hits a wall-clock deadline, a
-//! record limit, a heap budget or a [`CancelToken`] stops
+//! Every drive loop polls a [`Budget`] (the unsupervised
+//! [`run_one`](crate::run_one) and [`run_sweep`](crate::run_sweep)
+//! poll [`Budget::unlimited`]), so a run that hits a wall-clock
+//! deadline, a record limit, a heap budget or a [`CancelToken`] stops
 //! *cooperatively* and still returns its partial counters as
 //! [`Outcome::Degraded`]. Degraded metrics satisfy the same
 //! accounting identities as complete ones (the counters are simply
@@ -23,8 +23,7 @@
 //! ledger leases and a dedicated exit code instead of a dead sweep.
 
 use crate::budget::{Budget, CancelToken, StopReason};
-use crate::engine::FetchEngine;
-use crate::front_end::Cells;
+use crate::front_end::{Cell, Cells};
 use crate::metrics::SimResult;
 use crate::sweep::{RunSpec, SweepConfig};
 
@@ -77,68 +76,21 @@ impl Outcome {
     }
 }
 
-/// Sums the engines' self-reported state estimates — the number the
-/// heap budget is checked against.
-pub fn estimated_heap_bytes(engines: &[Box<dyn FetchEngine + Send>]) -> u64 {
-    engines.iter().map(|e| e.approx_heap_bytes()).sum()
-}
-
-/// What a supervised drive loop feeds, one block at a time: engines
-/// built one by one, each on a walk of its own, or a
-/// [`Cell`](crate::Cell) whose engines share one.
-pub trait Engines {
-    /// Feeds `block` to every engine, in order.
-    fn step_block(&mut self, block: &[TraceRecord]);
-
-    /// The state estimate the heap budget is checked against.
-    fn approx_heap_bytes(&self) -> u64;
-}
-
-impl Engines for [Box<dyn FetchEngine + Send>] {
-    fn step_block(&mut self, block: &[TraceRecord]) {
-        for e in self.iter_mut() {
-            e.step_block(block);
-        }
-    }
-
-    fn approx_heap_bytes(&self) -> u64 {
-        estimated_heap_bytes(self)
-    }
-}
-
-impl Engines for Vec<Box<dyn FetchEngine + Send>> {
-    fn step_block(&mut self, block: &[TraceRecord]) {
-        self.as_mut_slice().step_block(block);
-    }
-
-    fn approx_heap_bytes(&self) -> u64 {
-        estimated_heap_bytes(self)
-    }
-}
-
 /// Records per drive-loop block: the granularity at which the
-/// batched loop polls the [`Budget`] and makes one
-/// [`step_block`](Engines::step_block) call per run.
+/// batched loop polls the [`Budget`] and steps each running cell.
 ///
 /// A multiple of [`DEADLINE_POLL_INTERVAL`](crate::budget::DEADLINE_POLL_INTERVAL),
 /// so every block-boundary poll lands on a record count where the
 /// scalar loop would also have read the wall clock; 4096 records is
 /// small enough that a block of `TraceRecord`s (~128 KiB) stays
-/// cache-resident while large enough that per-block overhead (poll,
-/// virtual dispatch) is amortised to noise.
+/// cache-resident while large enough that per-block overhead (the
+/// poll, the walk's pass setup) is amortised to noise.
 pub const BLOCK_RECORDS: usize = 4096;
 
 /// Lends [`drive_blocks`] its next block of at most
 /// [`BLOCK_RECORDS`] records; an empty block ends the run.
 trait BlockSource {
     fn next_block(&mut self) -> &[TraceRecord];
-}
-
-/// A borrowed trace: each block is a subslice, so no record is copied.
-impl BlockSource for std::slice::Chunks<'_, TraceRecord> {
-    fn next_block(&mut self) -> &[TraceRecord] {
-        self.next().unwrap_or_default()
-    }
 }
 
 /// A walk of at most `remaining` more records, generated into one
@@ -196,8 +148,9 @@ fn outcome(results: Vec<SimResult>, stop: Option<StopReason>) -> Outcome {
 /// block goes once to `step_block`, with a flag per run that is set
 /// while the run is still running. A run polls the budget with its
 /// own heap estimate, so each run stops where it would have stopped
-/// alone (see [`drive_supervised`]; a deadline, as ever, up to clock
-/// timing); the source is not read again once every run has stopped.
+/// alone (see [`drive_records_supervised`]; a deadline, as ever, up to
+/// clock timing); the source is not read again once every run has
+/// stopped.
 fn drive_blocks(
     mut source: impl BlockSource,
     runs: &mut [Run],
@@ -240,109 +193,71 @@ fn drive_blocks(
     }
 }
 
-/// [`drive_blocks`] for a single run's engines.
-fn drive_one<E: Engines + ?Sized>(
-    source: impl BlockSource,
-    engines: &mut E,
-    budget: &Budget,
-) -> Option<StopReason> {
-    let mut runs = [Run::new(engines.approx_heap_bytes())];
-    drive_blocks(source, &mut runs, budget, |block, _| engines.step_block(block));
-    let [run] = runs;
-    run.stop
-}
-
-/// Feeds `trace` to every engine under `budget`, one
-/// [`BLOCK_RECORDS`]-sized block at a time: the budget is polled
-/// once per block (not once per record) and each engine gets a
-/// single [`step_block`](FetchEngine::step_block) call per block.
-/// Records are borrowed from the caller — nothing on this path
-/// copies a `TraceRecord`.
+/// Streams `records` through every engine of `cell` in
+/// [`BLOCK_RECORDS`]-sized blocks buffered one at a time, so memory
+/// stays one block however long the stream is (`nls replay` feeds a
+/// trace file this way): the budget is polled once per block, not once
+/// per record, and the cell takes each block in one call.
 ///
-/// Returns `None` when the trace was fully consumed, or the
-/// [`StopReason`] that cut it short (engines then hold the counters
-/// of the records consumed so far). Stopping is bit-for-bit
-/// identical to the scalar reference loop
-/// ([`drive_supervised_scalar`]): a record limit still lands on the
-/// exact record, because the block straddling it is split there, and
-/// a trace that ends on the record a limit would land on completes,
-/// because a block is in hand before each poll just as the scalar
-/// loop only ever polled with a record in hand. The one sanctioned
-/// relaxation is deadline slack — the wall clock is read at block
-/// rather than [`DEADLINE_POLL_INTERVAL`] granularity.
-///
-/// The walker and record-stream drivers run the same loop.
+/// Returns `None` when the stream was fully consumed, or the
+/// [`StopReason`] that cut it short (the cell then holds the counters
+/// of the records consumed so far). Stopping is bit-for-bit identical
+/// to the scalar reference loop ([`drive_supervised_scalar`]): a
+/// record limit still lands on the exact record, because the block
+/// straddling it is split there, and a stream that ends on the record
+/// a limit would land on completes, because a block is in hand before
+/// each poll just as the scalar loop only ever polled with a record in
+/// hand. The one sanctioned relaxation is deadline slack — the wall
+/// clock is read at block rather than [`DEADLINE_POLL_INTERVAL`]
+/// granularity.
 ///
 /// [`DEADLINE_POLL_INTERVAL`]: crate::budget::DEADLINE_POLL_INTERVAL
-pub fn drive_supervised(
-    trace: &[TraceRecord],
-    engines: &mut [Box<dyn FetchEngine + Send>],
-    budget: &Budget,
-) -> Option<StopReason> {
-    drive_one(trace.chunks(BLOCK_RECORDS), engines, budget)
-}
-
-/// The pre-batching reference loop: one budget poll and one virtual
-/// [`step`](FetchEngine::step) call per record. This is the semantic
-/// specification the block path is differentially tested against
-/// (every counter, outcome and stop reason must match); it is not on
-/// any hot path.
-pub fn drive_supervised_scalar<'a, I>(
-    trace: I,
-    engines: &mut [Box<dyn FetchEngine + Send>],
-    budget: &Budget,
-) -> Option<StopReason>
-where
-    I: IntoIterator<Item = &'a TraceRecord>,
-{
-    let heap = estimated_heap_bytes(engines);
-    for (done, r) in trace.into_iter().enumerate() {
-        if let Err(reason) = budget.check(done as u64, heap) {
-            return Some(reason);
-        }
-        for e in engines.iter_mut() {
-            e.step(r);
-        }
-    }
-    None
-}
-
-/// Streams up to `trace_len` records out of `walker` in
-/// [`BLOCK_RECORDS`]-sized blocks through every engine, refilling a
-/// single reusable buffer — the whole trace is never materialised.
-///
-/// Stop semantics mirror the scalar loop over `walker.take(trace_len)`
-/// exactly, as in [`drive_supervised`]; a walk that ends early (a
-/// malformed program) is a complete run, never a degraded one.
-pub fn drive_walker_supervised(
-    walker: &mut Walker<'_>,
-    trace_len: usize,
-    engines: &mut [Box<dyn FetchEngine + Send>],
-    budget: &Budget,
-) -> Option<StopReason> {
-    drive_one(Walk { walker, remaining: trace_len, block: Vec::new() }, engines, budget)
-}
-
-/// Streams `records` through every engine in [`BLOCK_RECORDS`]-sized
-/// blocks buffered one at a time, so memory stays one block however
-/// long the stream is (`nls replay` feeds a trace file this way, to
-/// a [`Cell`](crate::Cell)). Stop semantics are those of
-/// [`drive_supervised`].
-pub fn drive_records_supervised<I, E>(
+pub fn drive_records_supervised<I>(
     records: I,
-    engines: &mut E,
+    cell: &mut Cell,
     budget: &Budget,
 ) -> Option<StopReason>
 where
     I: IntoIterator<Item = TraceRecord>,
-    E: Engines + ?Sized,
 {
     let mut records = records.into_iter();
     let fill = |block: &mut Vec<TraceRecord>| {
         block.clear();
         block.extend(records.by_ref().take(BLOCK_RECORDS));
     };
-    drive_one(Refill { block: Vec::new(), fill }, engines, budget)
+    let mut runs = [Run::new(cell.approx_heap_bytes())];
+    drive_blocks(Refill { block: Vec::new(), fill }, &mut runs, budget, |block, _| {
+        cell.step_block(block)
+    });
+    let [run] = runs;
+    run.stop
+}
+
+/// The pre-batching reference loop: one budget poll per record, then
+/// each cell steps the record ([`Cell`]'s per-record path, one real
+/// cache access per record and cell, never a skipped probe). This is
+/// the semantic specification the block path is differentially tested
+/// against (every counter, outcome and stop reason must match); with
+/// one spec per cell it steps each engine on a walk of its own. It is
+/// not on any hot path.
+pub fn drive_supervised_scalar<'a, I>(
+    trace: I,
+    cells: &mut [Cell],
+    budget: &Budget,
+) -> Option<StopReason>
+where
+    I: IntoIterator<Item = &'a TraceRecord>,
+{
+    let heap = cells.iter().map(Cell::approx_heap_bytes).sum();
+    for (done, r) in trace.into_iter().enumerate() {
+        if let Err(reason) = budget.check(done as u64, heap) {
+            return Some(reason);
+        }
+        for cell in cells.iter_mut() {
+            cell.step(r);
+        }
+    }
+    None
 }
 
 /// The program every run of `bench` walks.

@@ -52,17 +52,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
 use nls_icache::CacheConfig;
-use nls_trace::{BenchProfile, Program, TraceRecord};
+use nls_trace::{BenchProfile, Program};
 
 use crate::budget::{Budget, CancelToken};
-use crate::engine::FetchEngine;
 use crate::error::{NlsError, RunError};
 use crate::ledger::{self, CellState, ClaimOutcome, Heartbeat, Ledger, LedgerFile};
 use crate::metrics::SimResult;
 use crate::spec::EngineSpec;
 use crate::supervisor::{
-    drive_supervised, one_outcome, run_cells_supervised, run_one_supervised, synthesize_bench,
-    Outcome,
+    one_outcome, run_cells_supervised, run_one_supervised, synthesize_bench, Outcome,
 };
 
 /// Default dynamic trace length for paper-scale experiments.
@@ -122,15 +120,6 @@ impl RunSpec {
     pub(crate) fn state_bytes(&self) -> u64 {
         self.engines.iter().map(|e| e.state_bytes(&self.cache)).sum()
     }
-}
-
-/// Runs a prepared trace through a set of engines. Exposed for
-/// integration tests that hand-craft traces.
-pub fn drive(trace: &[TraceRecord], engines: &mut [Box<dyn FetchEngine + Send>]) {
-    // An unlimited budget never trips, so the supervised block loop
-    // is a plain drive here; records are borrowed straight from the
-    // caller's slice, never cloned.
-    drive_supervised(trace, engines, &Budget::unlimited());
 }
 
 /// Executes one run: synthesises the workload, walks `trace_len`
@@ -766,7 +755,6 @@ mod tests {
 
     #[test]
     fn a_runs_state_estimate_is_the_heap_its_cell_reports() {
-        use crate::supervisor::Engines;
         let caches =
             [CacheConfig::paper(4, 1), CacheConfig::paper(32, 4), CacheConfig::paper(128, 8)];
         for run in cross(&[BenchProfile::li()], &caches, &four_engines()) {
@@ -1097,16 +1085,17 @@ mod tests {
 
     #[test]
     fn drive_feeds_every_engine() {
+        use crate::supervisor::drive_records_supervised;
         use nls_trace::{Addr, TraceRecord};
         let trace =
-            vec![TraceRecord::sequential(Addr::new(0)), TraceRecord::sequential(Addr::new(4))];
-        let mut engines: Vec<Box<dyn FetchEngine + Send>> = vec![
-            EngineSpec::nls_table(512).build(CacheConfig::paper(8, 1)),
-            EngineSpec::btb(128, 1).build(CacheConfig::paper(8, 1)),
-        ];
-        drive(&trace, &mut engines);
-        for e in &engines {
-            assert_eq!(e.result("t").instructions, 2);
+            [TraceRecord::sequential(Addr::new(0)), TraceRecord::sequential(Addr::new(4))];
+        let specs = [EngineSpec::nls_table(512), EngineSpec::btb(128, 1)];
+        let mut cell = crate::Cell::new(CacheConfig::paper(8, 1), &specs);
+        assert_eq!(drive_records_supervised(trace, &mut cell, &Budget::unlimited()), None);
+        let results = cell.results("t");
+        assert_eq!(results.len(), 2);
+        for r in &results {
+            assert_eq!(r.instructions, 2);
         }
     }
 

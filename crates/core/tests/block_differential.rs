@@ -1,22 +1,22 @@
 //! Differential tests for the batched execution path.
 //!
-//! The block-decoded drive loop ([`drive_supervised`]) and the
-//! streaming walker loop ([`drive_walker_supervised`]) must be
+//! The block-decoded drive loop ([`drive_records_supervised`]) and the
+//! streaming walker loop ([`run_one_supervised`]) must be
 //! *bit-for-bit* identical to the pre-batching scalar reference loop
-//! ([`drive_supervised_scalar`]): same per-engine counters, same
-//! per-kind breakdowns, same icache statistics and same stop
-//! reasons, for every engine and for every way a budget can cut a
-//! run short — including limits that land in the middle of a block.
-//! Cells that share one walk ([`run_cells_supervised`]) must in turn
-//! match the same cells run alone ([`run_one_supervised`]), and a
-//! cell's engines on one shared front end ([`Cell`]) must match the
-//! same engines built one by one and stepped by the scalar loop.
+//! ([`drive_supervised_scalar`]) stepping each engine in a cell of its
+//! own: same per-engine counters, same per-kind breakdowns, same
+//! icache statistics and same stop reasons, for every engine and for
+//! every way a budget can cut a run short — including limits that land
+//! in the middle of a block. Cells that share one walk
+//! ([`run_cells_supervised`]) must in turn match the same cells run
+//! alone ([`run_one_supervised`]), and a cell's engines on one shared
+//! front end ([`Cell`]) must match each engine alone, stepped by the
+//! scalar loop.
 
 use nls_core::{
-    cross, drive_records_supervised, drive_supervised, drive_supervised_scalar,
-    drive_walker_supervised, estimated_heap_bytes, run_cells_supervised, run_one_supervised,
-    Budget, CancelToken, Cell, EngineSpec, FetchEngine, NlsTableEngine, Outcome, PhtSpec,
-    RunSpec, SimResult, StopReason, SweepConfig, BLOCK_RECORDS,
+    cross, drive_records_supervised, drive_supervised_scalar, run_cells_supervised,
+    run_one_supervised, Budget, CancelToken, Cell, EngineSpec, Outcome, PhtSpec, RunSpec,
+    SimResult, StopReason, SweepConfig, BLOCK_RECORDS,
 };
 use nls_icache::CacheConfig;
 use nls_trace::{synthesize, Addr, BenchProfile, BreakKind, GenConfig, TraceRecord, Walker};
@@ -25,8 +25,17 @@ use nls_trace::{synthesize, Addr, BenchProfile, BreakKind, GenConfig, TraceRecor
 const TRACE_LEN: usize = 3 * BLOCK_RECORDS + 1234;
 const SEED: u64 = 0xd1ff;
 
+/// The fleet's cache.
+fn cache() -> CacheConfig {
+    CacheConfig::paper(8, 2)
+}
+
+fn bench() -> BenchProfile {
+    BenchProfile::espresso()
+}
+
 fn program() -> nls_trace::Program {
-    let bench = BenchProfile::espresso();
+    let bench = bench();
     synthesize(&bench, &GenConfig::for_profile(&bench))
 }
 
@@ -34,47 +43,62 @@ fn trace(program: &nls_trace::Program) -> Vec<TraceRecord> {
     Walker::new(program, SEED).take_trace(TRACE_LEN)
 }
 
+fn cfg() -> SweepConfig {
+    SweepConfig { trace_len: TRACE_LEN, seed: SEED }
+}
+
 /// One of every fetch architecture, including the NLS-table variant
-/// with the decode-assist type predictor (whose `step_block` falls
-/// back to the scalar loop).
-fn fleet() -> Vec<Box<dyn FetchEngine + Send>> {
-    let cache = CacheConfig::paper(8, 2);
+/// with the decode-assist type predictor (which asks for every
+/// record, so its cell's scan degenerates to the per-record loop).
+fn fleet() -> Vec<EngineSpec> {
     vec![
-        EngineSpec::btb(128, 2).build(cache),
-        EngineSpec::nls_table(1024).build(cache),
-        EngineSpec::nls_cache(2).build(cache),
-        (EngineSpec::Johnson { preds_per_line: 2 }).build(cache),
-        Box::new(NlsTableEngine::new(1024, cache).with_type_predictor(512)),
+        EngineSpec::btb(128, 2),
+        EngineSpec::nls_table(1024),
+        EngineSpec::nls_cache(2),
+        EngineSpec::Johnson { preds_per_line: 2 },
+        EngineSpec::NlsTable { entries: 1024, pht: PhtSpec::Gshare, type_table: Some(512) },
     ]
 }
 
-fn results(engines: &[Box<dyn FetchEngine + Send>]) -> Vec<SimResult> {
-    engines.iter().map(|e| e.result("differential")).collect()
+/// Each of `specs` in a cell of its own on `cache`: one walk per
+/// engine.
+fn alone(cache: CacheConfig, specs: &[EngineSpec]) -> Vec<Cell> {
+    specs.iter().map(|spec| Cell::new(cache, std::slice::from_ref(spec))).collect()
 }
 
-/// Runs the same trace through all three drive loops with fresh
-/// engine fleets and per-run budgets, asserting identical stop
-/// reasons and identical `SimResult`s across all engines.
+/// The results of `cells`, in order, labelled with the fleet's
+/// benchmark.
+fn results(cells: &[Cell]) -> Vec<SimResult> {
+    cells.iter().flat_map(|c| c.results(bench().name)).collect()
+}
+
+/// Runs the same trace through all three drive loops with fresh cells
+/// and per-run budgets — the scalar loop over each engine alone, the
+/// block loop over one cell of the fleet, the walker over the same
+/// cell — asserting identical stop reasons and identical `SimResult`s
+/// across all engines.
 fn assert_paths_agree(budget_for: impl Fn() -> Budget) -> (Option<StopReason>, Vec<SimResult>) {
     let program = program();
     let trace = trace(&program);
 
-    let mut scalar = fleet();
+    let mut scalar = alone(cache(), &fleet());
     let scalar_stop = drive_supervised_scalar(&trace, &mut scalar, &budget_for());
 
-    let mut block = fleet();
-    let block_stop = drive_supervised(&trace, &mut block, &budget_for());
+    let mut block = Cell::new(cache(), &fleet());
+    let block_stop = drive_records_supervised(trace.iter().copied(), &mut block, &budget_for());
 
-    let mut streamed = fleet();
-    let mut walker = Walker::new(&program, SEED);
-    let walker_stop =
-        drive_walker_supervised(&mut walker, TRACE_LEN, &mut streamed, &budget_for());
+    let spec = RunSpec { bench: bench(), cache: cache(), engines: fleet() };
+    let streamed = run_one_supervised(&spec, &cfg(), &budget_for());
 
     assert_eq!(block_stop, scalar_stop, "block stop reason diverged from scalar");
-    assert_eq!(walker_stop, scalar_stop, "walker stop reason diverged from scalar");
+    assert_eq!(
+        streamed.stop_reason(),
+        scalar_stop.as_ref(),
+        "walker stop reason diverged from scalar"
+    );
     let want = results(&scalar);
-    assert_eq!(results(&block), want, "block counters diverged from scalar");
-    assert_eq!(results(&streamed), want, "walker counters diverged from scalar");
+    assert_eq!(block.results(bench().name), want, "block counters diverged from scalar");
+    assert_eq!(streamed.results(), want.as_slice(), "walker counters diverged from scalar");
     (scalar_stop, want)
 }
 
@@ -163,20 +187,22 @@ fn degraded_block_prefix_matches_a_shorter_complete_run() {
     let program = program();
     let trace = trace(&program);
 
-    let mut capped = fleet();
-    let stop = drive_supervised(
-        &trace,
+    let mut capped = Cell::new(cache(), &fleet());
+    let stop = drive_records_supervised(
+        trace.iter().copied(),
         &mut capped,
         &Budget::unlimited().with_max_records(limit as u64),
     );
     assert_eq!(stop, Some(StopReason::RecordLimit { limit: limit as u64 }));
 
-    let mut short = fleet();
+    let mut short = Cell::new(cache(), &fleet());
     let Some(prefix) = trace.get(..limit) else {
         panic!("trace shorter than the limit");
     };
-    assert_eq!(drive_supervised(prefix, &mut short, &Budget::unlimited()), None);
-    assert_eq!(results(&capped), results(&short));
+    let stop =
+        drive_records_supervised(prefix.iter().copied(), &mut short, &Budget::unlimited());
+    assert_eq!(stop, None);
+    assert_eq!(capped.results(bench().name), short.results(bench().name));
 }
 
 /// Instructions per iteration of each region's inner loop: 117
@@ -254,11 +280,17 @@ fn a_pending_commit_crosses_the_block_boundary_identically() {
             assert!(!first.is_break(), "the target must start a sequential run");
         }
 
-        let mut scalar = fleet();
+        // The scalar loop and the block loop over each engine alone,
+        // and the block loop over one cell of them all.
+        let mut scalar = alone(cache(), &fleet());
         assert_eq!(drive_supervised_scalar(&trace, &mut scalar, &Budget::unlimited()), None);
-        let mut block = fleet();
-        assert_eq!(drive_supervised(&trace, &mut block, &Budget::unlimited()), None);
-        let mut streamed = fleet();
+        let mut block = alone(cache(), &fleet());
+        for cell in &mut block {
+            let stop =
+                drive_records_supervised(trace.iter().copied(), cell, &Budget::unlimited());
+            assert_eq!(stop, None);
+        }
+        let mut streamed = Cell::new(cache(), &fleet());
         let stop = drive_records_supervised(
             trace.iter().copied(),
             &mut streamed,
@@ -269,7 +301,7 @@ fn a_pending_commit_crosses_the_block_boundary_identically() {
         let want = results(&scalar);
         assert_eq!(results(&block), want, "block counters diverged from scalar at {bases:x?}");
         assert_eq!(
-            results(&streamed),
+            streamed.results(bench().name),
             want,
             "stream counters diverged from scalar at {bases:x?}"
         );
@@ -313,7 +345,7 @@ fn disagreeing_cells() -> Vec<RunSpec> {
             CacheConfig::paper(16, 2),
             vec![
                 EngineSpec::btb(256, 4),
-                EngineSpec::NlsTable { entries: 1024, pht: PhtSpec::Bimodal },
+                EngineSpec::NlsTable { entries: 1024, pht: PhtSpec::Bimodal, type_table: None },
                 EngineSpec::Johnson { preds_per_line: 2 },
             ],
         ),
@@ -399,9 +431,7 @@ fn a_heap_limit_splits_a_walk_whose_cells_disagree() {
     // engines on 64-byte lines, the BTB and NLS-table pair at 8K and
     // the lone NLS-cache at 32K:4, and refuses the 16K:2 cell, whose
     // 256-entry BTB the walk still steps for the others.
-    let fleet: Vec<_> =
-        paper_engines().iter().map(|e| e.build(CacheConfig::paper(8, 1))).collect();
-    let limit = estimated_heap_bytes(&fleet);
+    let limit = Cell::new(CacheConfig::paper(8, 1), &paper_engines()).approx_heap_bytes();
     let outcomes = assert_shared_walk_matches_single_runs(|| {
         Budget::unlimited().with_max_heap_bytes(limit)
     });
@@ -415,10 +445,7 @@ fn a_heap_limit_refuses_only_the_cells_whose_state_exceeds_it() {
     // The limit admits exactly the 8K cell's engines, so in each
     // benchmark's claim the 8K cell completes while the 16K and
     // 32K:4 cells beside it on the same walk are refused.
-    let heap_of = |cache: CacheConfig| {
-        let fleet: Vec<_> = paper_engines().iter().map(|e| e.build(cache)).collect();
-        estimated_heap_bytes(&fleet)
-    };
+    let heap_of = |cache: CacheConfig| Cell::new(cache, &paper_engines()).approx_heap_bytes();
     let limit = heap_of(CacheConfig::paper(8, 1));
     assert!(heap_of(CacheConfig::paper(32, 4)) > limit, "32K:4 must need more state");
     let outcomes = assert_shared_walk_matches_single_runs(|| {
@@ -443,66 +470,67 @@ fn a_heap_limit_refuses_only_the_cells_whose_state_exceeds_it() {
 
 /// Runs `specs` as one [`Cell`] — over the walk of
 /// [`run_one_supervised`] and over the record stream of
-/// [`drive_records_supervised`] — and as engines built one by one,
-/// each on its own front end, through the scalar reference loop, each
-/// under a fresh budget; asserts identical stop reasons and results.
+/// [`drive_records_supervised`] — and each in a cell of its own
+/// through the scalar reference loop, each under a fresh budget;
+/// asserts identical stop reasons and results.
 fn assert_cell_matches_engines_alone(
     specs: &[EngineSpec],
     budget_for: impl Fn() -> Budget,
 ) -> (Option<StopReason>, Vec<SimResult>) {
-    let cache = CacheConfig::paper(8, 2);
-    let bench = BenchProfile::espresso();
     let program = program();
     let trace = trace(&program);
 
-    let mut alone: Vec<_> = specs.iter().map(|e| e.build(cache)).collect();
-    let stop = drive_supervised_scalar(&trace, &mut alone, &budget_for());
-    let want: Vec<SimResult> = alone.iter().map(|e| e.result(bench.name)).collect();
+    let mut scalar = alone(cache(), specs);
+    let stop = drive_supervised_scalar(&trace, &mut scalar, &budget_for());
+    let want = results(&scalar);
 
-    let spec = RunSpec { bench: bench.clone(), cache, engines: specs.to_vec() };
-    let cfg = SweepConfig { trace_len: TRACE_LEN, seed: SEED };
-    let walked = run_one_supervised(&spec, &cfg, &budget_for());
+    let spec = RunSpec { bench: bench(), cache: cache(), engines: specs.to_vec() };
+    let walked = run_one_supervised(&spec, &cfg(), &budget_for());
     assert_eq!(walked.stop_reason(), stop.as_ref(), "walked cell stop diverged from scalar");
     assert_eq!(walked.results(), want.as_slice(), "walked cell diverged from scalar");
 
-    let mut cell = Cell::new(cache, specs);
+    let mut cell = Cell::new(cache(), specs);
     let streamed = drive_records_supervised(trace.iter().copied(), &mut cell, &budget_for());
     assert_eq!(streamed, stop, "streamed cell stop diverged from scalar");
-    assert_eq!(cell.results(bench.name), want, "streamed cell diverged from scalar");
+    assert_eq!(cell.results(bench().name), want, "streamed cell diverged from scalar");
     (stop, want)
 }
 
-#[test]
-fn a_cell_of_the_paper_engines_matches_each_engine_alone_under_every_budget() {
-    let specs = paper_engines();
-    let (stop, results) = assert_cell_matches_engines_alone(&specs, Budget::unlimited);
+/// [`assert_cell_matches_engines_alone`] under every kind of budget:
+/// none, a mid-block record limit, a pre-cancelled token, an expired
+/// deadline and a heap limit one byte short of the cell's estimate.
+/// Returns the unlimited run's results.
+fn assert_cell_matches_engines_alone_under_every_budget(
+    specs: &[EngineSpec],
+) -> Vec<SimResult> {
+    let (stop, unlimited) = assert_cell_matches_engines_alone(specs, Budget::unlimited);
     assert_eq!(stop, None);
-    assert!(results.iter().all(|r| r.instructions == TRACE_LEN as u64 && r.breaks > 0));
+    assert!(unlimited.iter().all(|r| r.instructions == TRACE_LEN as u64));
 
     let limit = 10_000u64;
-    let (stop, results) = assert_cell_matches_engines_alone(&specs, || {
+    let (stop, results) = assert_cell_matches_engines_alone(specs, || {
         Budget::unlimited().with_max_records(limit)
     });
     assert_eq!(stop, Some(StopReason::RecordLimit { limit }));
     assert!(results.iter().all(|r| r.instructions == limit));
 
-    let (stop, _) = assert_cell_matches_engines_alone(&specs, || {
+    let (stop, _) = assert_cell_matches_engines_alone(specs, || {
         let token = CancelToken::new();
         token.cancel();
         Budget::unlimited().with_cancel(token)
     });
     assert_eq!(stop, Some(StopReason::Cancelled));
 
-    let (stop, _) = assert_cell_matches_engines_alone(&specs, || {
+    let (stop, _) = assert_cell_matches_engines_alone(specs, || {
         Budget::unlimited().with_deadline(std::time::Duration::ZERO)
     });
     assert!(matches!(stop, Some(StopReason::DeadlineExceeded { .. })), "{stop:?}");
 
     // One byte short of the engines' summed estimate: the cell must
-    // report the same total as the engines built one by one.
-    let fleet: Vec<_> = specs.iter().map(|e| e.build(CacheConfig::paper(8, 2))).collect();
-    let heap = estimated_heap_bytes(&fleet);
-    let (stop, results) = assert_cell_matches_engines_alone(&specs, || {
+    // report the same total as the engines alone.
+    let heap: u64 = alone(cache(), specs).iter().map(Cell::approx_heap_bytes).sum();
+    assert_eq!(Cell::new(cache(), specs).approx_heap_bytes(), heap);
+    let (stop, results) = assert_cell_matches_engines_alone(specs, || {
         Budget::unlimited().with_max_heap_bytes(heap - 1)
     });
     assert_eq!(
@@ -510,27 +538,54 @@ fn a_cell_of_the_paper_engines_matches_each_engine_alone_under_every_budget() {
         Some(StopReason::HeapLimit { limit_bytes: heap - 1, estimated_bytes: heap })
     );
     assert!(results.iter().all(|r| r.instructions == 0));
+    unlimited
+}
+
+#[test]
+fn a_cell_of_the_paper_engines_matches_each_engine_alone_under_every_budget() {
+    let results = assert_cell_matches_engines_alone_under_every_budget(&paper_engines());
+    assert!(results.iter().all(|r| r.breaks > 0));
 }
 
 #[test]
 fn a_cell_whose_engines_mix_four_phts_matches_each_engine_alone() {
     // The four PHTs of the PHT ablation, Johnson without one, and two
-    // BTBs that read the gshare PHT with the gshare NLS-table.
+    // BTBs that read the gshare PHT with the gshare NLS-table; then
+    // the 128-entry direct BTB under both not-taken policies side by
+    // side, which must not share one BTB, and the NLS table with the
+    // three type tables of the type-predictor extension.
     let mut specs: Vec<EngineSpec> =
         [PhtSpec::Gshare, PhtSpec::GlobalOnly, PhtSpec::Bimodal, PhtSpec::Tournament]
             .into_iter()
-            .map(|pht| EngineSpec::NlsTable { entries: 1024, pht })
+            .map(|pht| EngineSpec::NlsTable { entries: 1024, pht, type_table: None })
             .collect();
     specs.extend([
         EngineSpec::Johnson { preds_per_line: 2 },
         EngineSpec::btb(128, 1),
         EngineSpec::btb(256, 4),
+        EngineSpec::Btb { entries: 128, assoc: 1, pht: PhtSpec::Gshare, evict_not_taken: true },
     ]);
-    let (stop, results) = assert_cell_matches_engines_alone(&specs, Budget::unlimited);
-    assert_eq!(stop, None);
+    specs.extend([1024, 4096, 16384].map(|entries| EngineSpec::NlsTable {
+        entries: 1024,
+        pht: PhtSpec::Gshare,
+        type_table: Some(entries),
+    }));
+    let results = assert_cell_matches_engines_alone_under_every_budget(&specs);
     let mispredicts: Vec<u64> = results.iter().take(4).map(|r| r.mispredicts).collect();
     assert!(
         mispredicts.iter().any(|&m| m != mispredicts[0]),
         "different PHTs must predict differently: {mispredicts:?}"
     );
+    let (keep, evict) = (&results[5], &results[7]);
+    assert_eq!(evict.engine, "128 direct BTB (evict-NT)");
+    assert_ne!(
+        (keep.misfetches, keep.mispredicts),
+        (evict.misfetches, evict.mispredicts),
+        "the two not-taken policies must fetch differently"
+    );
+    let predecode = &results[0];
+    for typed in &results[8..] {
+        assert_eq!(typed.engine, "1024 NLS table");
+        assert_ne!(typed.misfetches, predecode.misfetches, "a type table costs bubbles");
+    }
 }

@@ -6,7 +6,7 @@
 //! from `Rng::new(i)`, and every assertion names its case, so a
 //! failure replays from its index alone.
 
-use nls_core::{EngineSpec, FetchEngine, PenaltyModel};
+use nls_core::{EngineSpec, PenaltyModel};
 use nls_icache::CacheConfig;
 use nls_trace::rng::Rng;
 use nls_trace::{Addr, BreakKind, TraceRecord};

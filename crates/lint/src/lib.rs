@@ -17,7 +17,7 @@
 //! ([`rules`]), and a driver ([`engine`]) with human/JSON output
 //! ([`report`]). The interprocedural layer (`nls-analyze`, [`passes`])
 //! adds a symbol table, a call graph, and — for the path-sensitive
-//! passes — intraprocedural control-flow graphs ([`cfg`]) with a
+//! passes — intraprocedural control-flow graphs ([`cfg`](mod@cfg)) with a
 //! gen/kill dataflow solver ([`dataflow`]).
 //!
 //! Run it with `cargo run -p nls-lint`; see DESIGN.md §9 for the

@@ -2,8 +2,8 @@
 //!
 //! The supervision contract (DESIGN.md §8) says a simulation can
 //! always be stopped cooperatively: every loop on a path from an
-//! engine `run*`/`drive*` root must poll the [`Budget`] or the
-//! [`CancelToken`] — otherwise a deadline, record budget, or SIGINT
+//! engine `run*`/`drive*` root must poll nls-core's `Budget` or
+//! `CancelToken` — otherwise a deadline, record budget, or SIGINT
 //! lands in a loop that never looks up and the process hangs until
 //! the loop happens to finish.
 //!

@@ -37,7 +37,7 @@ fn main() {
     println!("design point                RBE cost   avg BEP   avg %MfB");
     let mut frontier: Vec<(String, f64, f64)> = Vec::new();
     for spec in &engines {
-        let label = spec.build(cache).label();
+        let label = spec.label();
         let per: Vec<_> = results.iter().filter(|r| r.engine == label).cloned().collect();
         let avg = average(&per);
         let rbe = match spec {

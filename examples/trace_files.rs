@@ -11,7 +11,7 @@
 //! cargo run --release --example trace_files
 //! ```
 
-use nextline::core::{drive, EngineSpec, FetchEngine, PenaltyModel};
+use nextline::core::{drive_records_supervised, Budget, Cell, EngineSpec, PenaltyModel};
 use nextline::icache::CacheConfig;
 use nextline::trace::{
     read_trace, synthesize, write_trace, BenchProfile, GenConfig, TraceStats, Walker,
@@ -47,12 +47,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Replay through a fetch engine.
-    let mut engines: Vec<Box<dyn FetchEngine + Send>> =
-        vec![EngineSpec::nls_table(1024).build(CacheConfig::paper(8, 1))];
-    drive(&replayed, &mut engines);
-    let r = engines[0].result(profile.name);
+    let mut cell = Cell::new(CacheConfig::paper(8, 1), &[EngineSpec::nls_table(1024)]);
+    drive_records_supervised(replayed, &mut cell, &Budget::unlimited());
     let m = PenaltyModel::paper();
-    println!("replay through {}: BEP {:.3}, CPI {:.3}", r.engine, r.bep(&m), r.cpi(&m));
+    for r in cell.results(profile.name) {
+        println!("replay through {}: BEP {:.3}, CPI {:.3}", r.engine, r.bep(&m), r.cpi(&m));
+    }
 
     std::fs::remove_file(&path)?;
     Ok(())

@@ -3,7 +3,7 @@
 //! facade. These pin the end-to-end semantics of the paper's
 //! penalty accounting.
 
-use nextline::core::{drive, EngineSpec, FetchEngine};
+use nextline::core::{drive_records_supervised, Budget, Cell, EngineSpec, SimResult};
 use nextline::icache::CacheConfig;
 use nextline::trace::{Addr, BreakKind, TraceRecord};
 
@@ -13,6 +13,22 @@ fn seq(pc: u64) -> TraceRecord {
 
 fn br(pc: u64, kind: BreakKind, taken: bool, target: u64) -> TraceRecord {
     TraceRecord::branch(Addr::new(pc), kind, taken, Addr::new(target))
+}
+
+/// Runs `trace` through one cell of `specs` on `cache`; one result per
+/// spec, in order.
+fn run(trace: &[TraceRecord], cache: CacheConfig, specs: &[EngineSpec]) -> Vec<SimResult> {
+    let mut cell = Cell::new(cache, specs);
+    let stop = drive_records_supervised(trace.iter().copied(), &mut cell, &Budget::unlimited());
+    assert_eq!(stop, None, "an unlimited budget never stops a run");
+    cell.results("micro")
+}
+
+/// The one result of `spec` alone on `cache`.
+fn alone(trace: &[TraceRecord], cache: CacheConfig, spec: EngineSpec) -> SimResult {
+    let mut results = run(trace, cache, &[spec]);
+    assert_eq!(results.len(), 1);
+    results.remove(0)
 }
 
 /// A tight loop: branch at 0x108 back to 0x100, three iterations,
@@ -31,15 +47,15 @@ fn loop_trace() -> Vec<TraceRecord> {
 #[test]
 fn all_engines_agree_on_instruction_and_break_counts() {
     let trace = loop_trace();
-    let mut engines: Vec<Box<dyn FetchEngine + Send>> = vec![
-        EngineSpec::btb(128, 1).build(CacheConfig::paper(8, 1)),
-        EngineSpec::nls_table(1024).build(CacheConfig::paper(8, 1)),
-        EngineSpec::nls_cache(2).build(CacheConfig::paper(8, 1)),
-        EngineSpec::Johnson { preds_per_line: 2 }.build(CacheConfig::paper(8, 1)),
+    let specs = [
+        EngineSpec::btb(128, 1),
+        EngineSpec::nls_table(1024),
+        EngineSpec::nls_cache(2),
+        EngineSpec::Johnson { preds_per_line: 2 },
     ];
-    drive(&trace, &mut engines);
-    for e in &engines {
-        let r = e.result("micro");
+    let results = run(&trace, CacheConfig::paper(8, 1), &specs);
+    assert_eq!(results.len(), specs.len());
+    for r in &results {
         assert_eq!(r.instructions, trace.len() as u64, "{}", r.engine);
         assert_eq!(r.breaks, 3, "{}", r.engine);
         assert!(r.misfetches + r.mispredicts <= r.breaks, "{}", r.engine);
@@ -58,9 +74,7 @@ fn perfect_call_return_nesting_never_mispredicts_the_stack() {
         trace.push(br(0x104, BreakKind::Unconditional, true, 0x100));
     }
     for spec in [EngineSpec::btb(128, 1), EngineSpec::nls_table(1024)] {
-        let mut engines = vec![spec.build(CacheConfig::paper(8, 1))];
-        drive(&trace, &mut engines);
-        let r = engines[0].result("micro");
+        let r = alone(&trace, CacheConfig::paper(8, 1), spec);
         // Only cold-start misfetches; steady state is fully correct.
         assert!(r.mispredicts == 0, "{}: {} mispredicts", r.engine, r.mispredicts);
         assert!(r.misfetches <= 4, "{}: {} misfetches", r.engine, r.misfetches);
@@ -82,9 +96,7 @@ fn ras_overflow_costs_mispredicts() {
         let ret_pc = 0x100 + (i + 1) * 0x40;
         trace.push(br(ret_pc, BreakKind::Return, true, 0x100 + i * 0x40 + 4));
     }
-    let mut engines = vec![EngineSpec::nls_table(4096).build(CacheConfig::paper(32, 1))];
-    drive(&trace, &mut engines);
-    let r = engines[0].result("micro");
+    let r = alone(&trace, CacheConfig::paper(32, 1), EngineSpec::nls_table(4096));
     // 8 returns lost their stack entries (depth 40 vs capacity 32).
     assert!(r.mispredicts >= 8, "expected >= 8 overflow mispredicts, got {}", r.mispredicts);
 }
@@ -105,9 +117,7 @@ fn alternating_branch_is_learned_by_the_two_level_pht() {
         ));
         trace.push(seq(0xfc));
     }
-    let mut engines = vec![EngineSpec::nls_table(1024).build(CacheConfig::paper(8, 1))];
-    drive(&trace, &mut engines);
-    let r = engines[0].result("micro");
+    let r = alone(&trace, CacheConfig::paper(8, 1), EngineSpec::nls_table(1024));
     let cond_mispredicts = r.mispredicts;
     assert!(
         cond_mispredicts < 60,
@@ -122,25 +132,20 @@ fn displacing_a_target_line_hurts_nls_but_not_btb() {
     let conflicting = target + cache.size_bytes; // same cache set
     let branch = br(0x100, BreakKind::Unconditional, true, target);
 
-    let run = |spec: EngineSpec| {
-        let mut engines = vec![spec.build(cache)];
-        let trace = vec![
-            // Warm up the predictor and the cache.
-            branch,
-            seq(target),
-            branch,
-            seq(target),
-            // Displace the target line, then run the branch again.
-            seq(conflicting),
-            branch,
-            seq(target),
-        ];
-        drive(&trace, &mut engines);
-        engines[0].result("micro")
-    };
+    let trace = [
+        // Warm up the predictor and the cache.
+        branch,
+        seq(target),
+        branch,
+        seq(target),
+        // Displace the target line, then run the branch again.
+        seq(conflicting),
+        branch,
+        seq(target),
+    ];
 
-    let nls = run(EngineSpec::nls_table(1024));
-    let btb = run(EngineSpec::btb(128, 1));
+    let nls = alone(&trace, cache, EngineSpec::nls_table(1024));
+    let btb = alone(&trace, cache, EngineSpec::btb(128, 1));
     // Both misfetch once cold; the NLS also misfetches on the
     // displaced line (its pointer went stale), the BTB does not (it
     // re-fetches by full address and simply takes a cache miss).

@@ -260,9 +260,9 @@ fn main() {
     let mut interrupted = 0usize;
     for (run, outcome) in runs.iter().zip(outcomes) {
         match outcome {
-            // A durable sweep's outcomes are complete: a run the
-            // budget cut short merges as interrupted.
-            Ok(cell) => results.extend(cell.into_results()),
+            // A sweep's outcomes are complete: a run a budget cut
+            // short merges as interrupted.
+            Ok(cell) => results.extend(cell),
             Err(RunError::Interrupted { .. }) => interrupted += 1,
             Err(e) => {
                 eprintln!("error[run]: {e}; verdicts will exclude {}", run.key());

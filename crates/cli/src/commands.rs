@@ -13,24 +13,23 @@
 //! ([`install_signal_token`]), and a tripped budget degrades the run
 //! cooperatively instead of killing the process mid-write.
 //!
-//! `nls sweep --ledger <FILE>` makes a sweep durable: N `sweep-worker`
-//! subprocesses (`--workers N`, by default one per core) claim cells
-//! from a crash-safe work ledger; the parent fans SIGTERM out to them
-//! on its own signal and merges the per-cell metrics
-//! deterministically, so under an unlimited budget the merged output
-//! is bit-for-bit identical to the in-memory sweep's, and an
-//! interrupted sweep resumes with `--resume`. A per-cell limit
-//! (`--max-records`, `--max-heap-mb`) makes the two differ: the
-//! in-memory sweep prints each stopped cell's partial rows with a note
-//! and exits 0, while the ledger publishes only complete cells, so the
-//! ledger sweep leaves the cell unfinished and exits 7.
+//! `nls sweep` runs ledger worker threads over a ledger held in
+//! memory; `nls sweep --ledger <FILE>` makes it durable: N
+//! `sweep-worker` subprocesses (`--workers N`, by default one per core)
+//! claim cells from a crash-safe work ledger file; the parent fans
+//! SIGTERM out to them on its own signal and merges the per-cell
+//! metrics deterministically, so the merged output is bit-for-bit
+//! identical to the in-memory sweep's, and an interrupted sweep
+//! resumes with `--resume`. Both follow the ledger's budget rule: a
+//! cell a budget stops is released unfinished, never printed, and the
+//! sweep exits 7 with one error naming the stop reason.
 //! `nls soak --kill-workers` is the standing drill for that
 //! machinery: it SIGKILLs a seeded selection of workers mid-sweep
 //! and requires the survivors to reclaim every orphaned lease.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::{Child, Command, ExitStatus, Output, Stdio};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
@@ -39,8 +38,8 @@ use nls_core::{
     cross, drive_records_supervised, executor_count, fallthrough_way_prediction,
     install_signal_token, merge_ledger_outcomes, oracle, paper_caches, run_ledger_worker,
     run_one_supervised, run_sweep, run_sweep_supervised, Budget, CancelToken, Cell, CellState,
-    EngineSpec, Ledger, LedgerFile, NlsError, PenaltyModel, RunError, RunSpec, SweepConfig,
-    DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
+    EngineSpec, Ledger, LedgerFile, NlsError, PenaltyModel, RunError, RunSpec, SimResult,
+    StopReason, SweepConfig, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
 };
 use nls_cost::access_time::{btb_access_ns, tagless_access_ns, TimingProcess};
 use nls_cost::rbe::{btb_rbe, nls_cache_rbe, nls_table_rbe, CacheGeometry};
@@ -238,13 +237,14 @@ fn sweep_workers(a: &ParsedArgs, runs: &[RunSpec]) -> Result<usize, CliError> {
 
 /// The `sweep-worker` child `id` of a sweep of `workers` workers over
 /// `ledger`: it gets the sweep's spec flags and the worker count, which
-/// sizes its claims. Worker stdout is discarded (the parent owns the
-/// merged report); stderr passes through for per-worker notes.
+/// sizes its claims. Worker stdout goes to the parent, which owns the
+/// merged report: it carries the worker's stop reason, if a signal or
+/// budget stopped it. Stderr passes through for per-worker notes.
 fn worker_command(
     exe: &Path,
     a: &ParsedArgs,
     ledger: &Path,
-    id: usize,
+    id: u64,
     workers: usize,
 ) -> Command {
     let mut cmd = Command::new(exe);
@@ -260,7 +260,7 @@ fn worker_command(
             cmd.arg(format!("--{key}")).arg(val);
         }
     }
-    cmd.stdout(Stdio::null());
+    cmd.stdout(Stdio::piped());
     cmd
 }
 
@@ -268,21 +268,22 @@ fn worker_command(
 /// parent's own signal token trips so the children stop claiming,
 /// flush their state and exit 7.
 ///
-/// Each child is waited on by its own thread, which sends the exit
-/// status the moment the child exits; the token is read whenever no
-/// status arrived for 20 ms, and only to decide the fan-out.
+/// Each child is waited on by its own thread, which collects its
+/// stdout and sends its output the moment the child exits; the token
+/// is read whenever no output arrived for 20 ms, and only to decide the
+/// fan-out.
 fn supervise_workers(
     children: Vec<Child>,
     token: &CancelToken,
-) -> Result<Vec<ExitStatus>, NlsError> {
+) -> Result<Vec<Output>, NlsError> {
     let mut running: Vec<u32> = children.iter().map(Child::id).collect();
     let mut statuses = Vec::with_capacity(running.len());
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
-        for mut child in children {
+        for child in children {
             let tx = tx.clone();
             scope.spawn(move || {
-                let _ = tx.send((child.id(), child.wait()));
+                let _ = tx.send((child.id(), child.wait_with_output()));
             });
         }
         drop(tx);
@@ -315,28 +316,32 @@ fn supervise_workers(
     statuses.into_iter().map(|s| s.map_err(NlsError::Io)).collect()
 }
 
-/// Merges a drained (or abandoned) ledger back into the sweep's
-/// report. All cells done renders the same block as a single-process
-/// sweep; unfinished cells exit 7 when a signal or a worker budget
-/// stopped the run, and 8 when the workers died without one.
+/// Renders a sweep's merged outcomes, in memory or from a ledger. All
+/// cells done renders the result block, with a note per failed cell
+/// (exit 4 when there is one). Unfinished cells, or a signal, print no
+/// rows: the sweep exits 7, naming `stop` (or the first unfinished
+/// cell's reason) and then `then`, or 8 when `stop` is `None` and no
+/// signal arrived: a ledger's workers died with nothing stopping them.
 fn render_merged(
-    runs: &[RunSpec],
-    ledger: &Ledger,
+    outcomes: Vec<Result<Vec<SimResult>, RunError>>,
     a: &ParsedArgs,
-    path: &Path,
     cancelled: bool,
-    worker_interrupted: bool,
+    stop: Option<String>,
+    then: &str,
 ) -> Result<String, NlsError> {
-    let outcomes = merge_ledger_outcomes(runs, ledger);
     let total = outcomes.len();
     let mut results = Vec::new();
     let mut notes = Vec::new();
     let mut unfinished = 0usize;
+    let mut reason = None;
     let mut failed: Option<RunError> = None;
     for outcome in outcomes {
         match outcome {
-            Ok(o) => results.extend(o.into_results()),
-            Err(RunError::Interrupted { .. }) => unfinished += 1,
+            Ok(cell) => results.extend(cell),
+            Err(RunError::Interrupted { reason: why, .. }) => {
+                unfinished += 1;
+                reason.get_or_insert(why);
+            }
             Err(e) => {
                 notes.push(format!("note: {e}"));
                 failed.get_or_insert(e);
@@ -344,15 +349,11 @@ fn render_merged(
         }
     }
     if unfinished > 0 || cancelled {
-        let msg = format!(
-            "sweep stopped after {}/{total} cells; completed cells are in the ledger at {} — \
-             rerun with --resume to finish",
-            total - unfinished,
-            path.display()
-        );
-        // A signal here or a budget in a worker is an interruption;
-        // workers dying without one is a ledger-level failure.
-        return Err(if cancelled || worker_interrupted {
+        let interrupted = cancelled || stop.is_some();
+        let why = stop.or(reason).unwrap_or_else(|| StopReason::Cancelled.to_string());
+        let msg =
+            format!("sweep stopped after {}/{total} cells ({why}); {then}", total - unfinished);
+        return Err(if interrupted {
             NlsError::Interrupted(msg)
         } else {
             NlsError::Ledger(msg)
@@ -392,24 +393,34 @@ fn sweep_distributed(
     let token = install_signal_token();
     let exe = std::env::current_exe().map_err(NlsError::Io)?;
     let mut children = Vec::new();
-    for id in 0..workers {
+    for id in 0..workers as u64 {
         let worker = worker_command(&exe, a, &path, id, workers).spawn();
         children.push(worker.map_err(NlsError::Io)?);
     }
-    let statuses = supervise_workers(children, &token)?;
-    let worker_interrupted = statuses.iter().any(|s| s.code() == Some(7));
+    let outputs = supervise_workers(children, &token)?;
+    // A worker a signal or budget stopped exits 7 with the reason on
+    // its stdout.
+    let stop = outputs
+        .iter()
+        .find(|o| o.status.code() == Some(7))
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
     // The workers are gone: fold their journal into one snapshot
     // before merging, so the ledger left behind reads one line per cell.
     let ledger = file.compact(&CancelToken::new())?;
-    render_merged(runs, &ledger, a, &path, token.is_cancelled(), worker_interrupted)
+    let then = format!(
+        "completed cells are in the ledger at {} — rerun with --resume to finish",
+        path.display()
+    );
+    render_merged(merge_ledger_outcomes(runs, &ledger), a, token.is_cancelled(), stop, &then)
 }
 
 /// `nls sweep-worker`: one claiming worker of a durable sweep.
 /// Spawned by `nls sweep --ledger`, but safe to point at any
 /// ledger by hand — it claims cells, renews its leases by heartbeat,
 /// reclaims orphans left by dead peers, and exits once the ledger is
-/// drained. Its summary goes to stderr so stdout stays with the
-/// parent's merged report.
+/// drained. Its summary goes to stderr; its stdout belongs to the
+/// parent (the `nls` binary prints an interruption's reason there, for
+/// the parent to report, instead of an error of its own).
 ///
 /// # Errors
 ///
@@ -447,7 +458,7 @@ pub fn sweep_worker(a: &ParsedArgs) -> Result<String, NlsError> {
     Ok(String::new())
 }
 
-fn result_block(results: &[nls_core::SimResult], csv: bool) -> String {
+fn result_block(results: &[SimResult], csv: bool) -> String {
     let m = PenaltyModel::paper();
     let mut out = String::new();
     if csv {
@@ -547,11 +558,10 @@ pub fn simulate(a: &ParsedArgs) -> Result<String, NlsError> {
 ///
 /// With `--ledger` every completed cell is published to the work
 /// ledger; rerunning with `--resume` skips the recorded cells and
-/// reproduces an uninterrupted sweep bit-for-bit. SIGINT/SIGTERM, or
-/// a tripped budget that keeps a cell from starting, stops claiming
-/// cells and exits with code 7. A budget that stops a started cell
-/// prints its partial rows with a note in memory (exit 0) and leaves
-/// it unfinished in the ledger (exit 7).
+/// reproduces an uninterrupted sweep bit-for-bit. SIGINT/SIGTERM, or a
+/// budget that stops a cell, stops claiming cells and exits with code
+/// 7, printing no rows: the stopped cell is released unfinished, in
+/// memory as in the ledger.
 ///
 /// # Errors
 ///
@@ -590,42 +600,14 @@ pub fn sweep(a: &ParsedArgs) -> Result<String, NlsError> {
     let token = install_signal_token();
     let budget = budget_from(a, token.clone())?;
     let outcomes = run_sweep_supervised(&runs, &cfg, &budget, None)?;
-
-    let total = outcomes.len();
-    let mut results = Vec::new();
-    let mut notes = Vec::new();
-    let mut interrupted = 0usize;
-    let mut failed: Option<RunError> = None;
-    for (run, outcome) in runs.iter().zip(outcomes) {
-        match outcome {
-            Ok(o) => {
-                if let Some(reason) = o.stop_reason() {
-                    notes.push(format!("note: {} stopped early: {reason}", run.key()));
-                }
-                results.extend(o.into_results());
-            }
-            Err(RunError::Interrupted { .. }) => interrupted += 1,
-            Err(e) => {
-                notes.push(format!("note: {e}"));
-                failed.get_or_insert(e);
-            }
-        }
-    }
-    if interrupted > 0 || token.is_cancelled() {
-        return Err(NlsError::Interrupted(format!(
-            "sweep stopped after {}/{total} runs; rerun with --ledger <FILE> to make sweeps \
-             resumable",
-            total - interrupted
-        )));
-    }
-    let mut out = result_block(&results, a.has_switch("csv"));
-    for n in &notes {
-        let _ = writeln!(out, "{n}");
-    }
-    match failed {
-        Some(e) => Err(NlsError::Run(e)),
-        None => Ok(out),
-    }
+    // In memory, only a stop leaves cells unfinished, and each carries
+    // its reason.
+    let stop = outcomes.iter().find_map(|o| match o {
+        Err(RunError::Interrupted { reason, .. }) => Some(reason.clone()),
+        _ => None,
+    });
+    let then = "rerun with --ledger <FILE> to make sweeps resumable";
+    render_merged(outcomes, a, token.is_cancelled(), stop, then)
 }
 
 /// `nls soak`: the chaos/soak matrix — seeded runtime faults (read
@@ -703,7 +685,9 @@ pub fn soak(a: &ParsedArgs) -> Result<String, NlsError> {
 /// cells each victim held), and requires every planned kill
 /// to land and the survivors to reclaim every orphaned lease: every
 /// cell done, merged metrics bit-for-bit equal to the in-process
-/// single-run reference, and every merged result oracle-clean.
+/// single-run reference, and every merged result oracle-clean. The
+/// victims start first and the survivors once every victim is dead, so
+/// a victim is never kept from claiming by a grid the others drained.
 ///
 /// # Errors
 ///
@@ -754,12 +738,13 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
     // The fixed drill grid: all six benchmarks over two cache shapes
     // and one engine — twelve cells, enough that every worker owns
     // several and a killed worker always abandons leased work for
-    // the survivors to reclaim.
-    let benches = parse_benches("all")?;
-    let caches = vec![parse_cache("8K:1")?, parse_cache("8K:4")?];
-    let engines = vec![EngineSpec::nls_table(512)];
-    let runs = cross(&benches, &caches, &engines);
-    let cfg = SweepConfig { trace_len, seed };
+    // the survivors to reclaim. The workers get it as sweep flags.
+    let grid = format!(
+        "sweep --bench all --cache 8K:1 --cache 8K:4 --engine nls-table:512 --len {trace_len} \
+         --seed {seed}"
+    );
+    let grid = ParsedArgs::parse(grid.split_whitespace())?;
+    let (runs, cfg) = sweep_grid(&grid)?;
 
     // The single-process reference, computed in this process.
     let reference = run_sweep(&runs, &cfg);
@@ -779,32 +764,11 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
 
     let token = install_signal_token();
     let exe = std::env::current_exe().map_err(NlsError::Io)?;
-    let mut procs: Vec<(Child, Option<ExitStatus>)> = Vec::new();
-    for id in 0..workers {
-        let mut cmd = Command::new(&exe);
-        cmd.arg("sweep-worker")
-            .arg("--ledger")
-            .arg(&path)
-            .arg("--worker-id")
-            .arg(format!("w{id}"))
-            .arg("--bench")
-            .arg("all")
-            .arg("--cache")
-            .arg("8K:1")
-            .arg("--cache")
-            .arg("8K:4")
-            .arg("--engine")
-            .arg("nls-table:512")
-            .arg("--len")
-            .arg(trace_len.to_string())
-            .arg("--seed")
-            .arg(seed.to_string())
-            .arg("--workers")
-            .arg(workers.to_string())
-            .env("NLS_LEDGER_CHAOS_HOLD_MS", hold_ms.to_string());
-        cmd.stdout(Stdio::null());
-        procs.push((cmd.spawn().map_err(NlsError::Io)?, None));
-    }
+    let spawn = |id: u64| -> Result<(u64, Child, Option<ExitStatus>), NlsError> {
+        let mut cmd = worker_command(&exe, &grid, &path, id, workers);
+        cmd.env("NLS_LEDGER_CHAOS_HOLD_MS", hold_ms.to_string()).stdout(Stdio::null());
+        Ok((id, cmd.spawn().map_err(NlsError::Io)?, None))
+    };
 
     // The seeded plan picks the victims; a victim drawn twice dies
     // once. Waiting for a lease, not a timer, makes every kill orphan
@@ -817,6 +781,13 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
             }
         }
     }
+    // The victims start first, and the survivors only once no victim is
+    // left to kill: a victim that started late could otherwise find the
+    // grid drained by the others and exit without ever holding a lease.
+    let mut procs =
+        waiting.iter().map(|&victim| spawn(victim)).collect::<Result<Vec<_>, _>>()?;
+    let mut survivors: Vec<u64> =
+        (0..workers as u64).filter(|id| !waiting.contains(id)).collect();
     let keys: Vec<String> = runs.iter().map(RunSpec::key).collect();
     let mut killed: Vec<(u64, Vec<String>)> = Vec::new();
     let started = Instant::now();
@@ -835,8 +806,8 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
                         })
                         .cloned()
                         .collect();
-                    match procs.get(victim as usize) {
-                        Some((child, None)) if !held.is_empty() => {
+                    match procs.iter().find(|(id, ..)| *id == victim) {
+                        Some((_, child, None)) if !held.is_empty() => {
                             send_signal(child.id(), 9);
                             killed.push((victim, held));
                             false
@@ -848,14 +819,14 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
         }
         if token.is_cancelled() && !signalled {
             signalled = true;
-            for (child, status) in &procs {
+            for (_, child, status) in &procs {
                 if status.is_none() {
                     send_signal(child.id(), 15);
                 }
             }
         }
         let mut all_done = true;
-        for (child, status) in procs.iter_mut() {
+        for (_, child, status) in procs.iter_mut() {
             if status.is_none() {
                 match child.try_wait() {
                     Ok(Some(s)) => *status = Some(s),
@@ -864,13 +835,22 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
                 }
             }
         }
+        // No victim is left to kill once each is dead or has exited.
+        let victims_gone =
+            waiting.iter().all(|v| procs.iter().any(|(id, _, s)| id == v && s.is_some()));
+        if victims_gone && !signalled {
+            for id in survivors.drain(..) {
+                procs.push(spawn(id)?);
+                all_done = false;
+            }
+        }
         if all_done {
             break;
         }
         // Watchdog: the drill must end in bounded time even if a
         // survivor wedges — that itself is a failed drill.
         if elapsed > 120_000 {
-            for (child, status) in &procs {
+            for (_, child, status) in &procs {
                 if status.is_none() {
                     send_signal(child.id(), 9);
                 }
@@ -895,7 +875,7 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
     let mut unfinished = 0usize;
     for outcome in outcomes {
         match outcome {
-            Ok(o) => merged.extend(o.into_results()),
+            Ok(results) => merged.extend(results),
             Err(_) => unfinished += 1,
         }
     }
@@ -1178,10 +1158,10 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn supervised_workers_report_every_exit_code() {
-        let statuses =
+        let outputs =
             supervise_workers(vec![shell("exit 0"), shell("exit 7")], &CancelToken::new())
                 .expect("both children are reaped");
-        let mut codes: Vec<Option<i32>> = statuses.iter().map(ExitStatus::code).collect();
+        let mut codes: Vec<Option<i32>> = outputs.iter().map(|o| o.status.code()).collect();
         codes.sort();
         assert_eq!(codes, vec![Some(0), Some(7)]);
     }
@@ -1193,9 +1173,12 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let started = Instant::now();
-        let statuses = supervise_workers(vec![shell("exec sleep 30")], &token)
+        let outputs = supervise_workers(vec![shell("exec sleep 30")], &token)
             .expect("the child is reaped");
-        assert_eq!(statuses.iter().map(|s| s.signal()).collect::<Vec<_>>(), vec![Some(15)]);
+        assert_eq!(
+            outputs.iter().map(|o| o.status.signal()).collect::<Vec<_>>(),
+            vec![Some(15)]
+        );
         assert!(started.elapsed() < Duration::from_secs(10), "SIGTERM must end the wait");
     }
 
@@ -1363,7 +1346,7 @@ mod tests {
         // The merged cells replay bit-for-bit against the direct run.
         let merged: Vec<_> = nls_core::merge_ledger_outcomes(&runs, &drained)
             .into_iter()
-            .flat_map(|o| o.unwrap().into_results())
+            .flat_map(|o| o.unwrap())
             .collect();
         assert_eq!(merged, nls_core::run_sweep(&runs, &cfg));
         let _ = std::fs::remove_file(&path);

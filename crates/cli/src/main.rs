@@ -44,10 +44,17 @@ fn main() -> ExitCode {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    match ParsedArgs::parse(args).map_err(NlsError::from).and_then(|a| dispatch(&a)) {
+    let parsed = ParsedArgs::parse(args).map_err(NlsError::from);
+    let worker = parsed.as_ref().is_ok_and(|a| a.command == "sweep-worker");
+    match parsed.and_then(|a| dispatch(&a)) {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS
+        }
+        // A sweep worker hands its stop reason to its parent on stdout.
+        Err(NlsError::Interrupted(reason)) if worker => {
+            println!("{reason}");
+            ExitCode::from(NlsError::Interrupted(reason).exit_code())
         }
         Err(e) => {
             eprintln!("error[{}]: {e}", e.class());

@@ -822,7 +822,7 @@ fn publish(ctx: &ServeCtx, job: &Job, runs: &[RunSpec], cfg: &SweepConfig, file:
         .iter()
         .zip(outcomes)
         .map(|(run, outcome)| match outcome {
-            Ok(o) => Ok((run.key(), o.into_results())),
+            Ok(results) => Ok((run.key(), results)),
             Err(e) => Err(e.to_string()),
         })
         .collect();

@@ -358,25 +358,26 @@ fn deadline_budget_degrades_with_a_note_not_a_crash() {
 }
 
 /// A record budget stops every cell of a sweep after 100 records. In
-/// memory the sweep prints the partial rows with a note and exits 0;
-/// a `--ledger` sweep publishes only complete cells, so it leaves the
-/// cell unfinished and exits 7. Both behaviours are pinned here until
-/// one is chosen for every sweep.
+/// memory and with `--ledger` alike, the stopped cell is released
+/// unfinished: the sweep prints no rows and exits 7, with one error,
+/// naming the budget, and one note.
 #[test]
-fn a_record_budget_truncates_an_in_memory_sweep_but_interrupts_a_ledger_sweep() {
+fn a_record_budget_interrupts_a_sweep_in_memory_and_through_a_ledger() {
     let sweep =
         ["sweep", "--bench", "li", "--len", "10k", "--cache", "8K:1", "--max-records", "100"];
-    let out = nls(&sweep);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert_eq!(text.lines().filter(|l| l.starts_with("li ")).count(), 2, "{text}");
-    assert!(text.contains("stopped early: record budget of 100"), "{text}");
-
     let ledger = temp_path("record-budget-ledger.json");
-    let out = nls(&[&sweep[..], &["--ledger", ledger.to_str().unwrap()]].concat());
-    assert_eq!(out.status.code(), Some(7), "{}", stderr(&out));
-    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
-    assert!(stderr(&out).contains("sweep stopped after 0/1 cells"), "{}", stderr(&out));
+    let durable = [&sweep[..], &["--ledger", ledger.to_str().unwrap()]].concat();
+    for args in [&sweep[..], &durable[..]] {
+        let out = nls(args);
+        assert_eq!(out.status.code(), Some(7), "{}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+        let err = stderr(&out);
+        assert_eq!(err.lines().filter(|l| l.starts_with("error[")).count(), 1, "{err}");
+        assert_eq!(err.lines().filter(|l| l.starts_with("note:")).count(), 1, "{err}");
+        assert!(err.starts_with("error[interrupted]:"), "{err}");
+        assert!(err.contains("sweep stopped after 0/1 cells"), "{err}");
+        assert!(err.contains("record budget of 100 trace records exhausted"), "{err}");
+    }
     let _ = std::fs::remove_file(&ledger);
 }
 

@@ -36,8 +36,9 @@ pub enum RunError {
         /// How many attempts were made (1 + retries).
         attempts: u32,
     },
-    /// The run never started: the sweep's budget or cancel token
-    /// tripped first. Distinct from [`RunError::Panicked`] — nothing
+    /// The run did not finish: the sweep's budget or cancel token
+    /// tripped before it started, or stopped it and released it
+    /// unpublished. Distinct from [`RunError::Panicked`] — nothing
     /// went wrong with this run, the supervisor withdrew it.
     Interrupted {
         /// Which (bench × cache × engines) run was withdrawn.

@@ -1,9 +1,10 @@
 //! The work ledger: the one durable state of a sweep.
 //!
-//! Every durable sweep keeps its cells in a ledger file: threads in
-//! one process ([`run_sweep_supervised`](crate::run_sweep_supervised)
-//! over a [`LedgerFile`]), `nls sweep --ledger` worker processes and
-//! `nls serve` jobs. All of them run the same claim/run/publish loop
+//! Every sweep keeps its cells in a ledger: threads in one process
+//! ([`run_sweep_supervised`](crate::run_sweep_supervised), over a
+//! ledger file or one held in memory), `nls sweep --ledger` worker
+//! processes and `nls serve` jobs. All of them run the same
+//! claim/run/publish loop
 //! ([`run_ledger_worker`](crate::run_ledger_worker)). Every
 //! (bench × cache × engines) cell carries a state machine:
 //!
@@ -32,6 +33,10 @@
 //! cells and re-opens its `Failed` ones, so only finished results
 //! survive a resume.
 //!
+//! An in-memory sweep's ledger is the same state machine behind the
+//! same [`LedgerFile`] methods, held in memory under one mutex: no
+//! file, lock, journal or path.
+//!
 //! Timestamps are wall-clock epoch milliseconds. They order lease
 //! expiry and backoff only — coordination state, never simulation
 //! input — so merged results remain bit-for-bit deterministic no
@@ -43,7 +48,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use crate::budget::CancelToken;
@@ -721,6 +726,24 @@ pub struct LedgerFile {
     /// is held across file I/O, and put back only when the operation
     /// succeeds: after a failure the next operation reloads in full.
     cache: Arc<Mutex<Option<Cached>>>,
+    /// An in-memory sweep's ledger, which every operation then uses
+    /// instead of a file (the path is empty).
+    memory: Option<Arc<Held>>,
+}
+
+/// A ledger held in memory, with its count of the writes that changed
+/// it; `written` is notified at each.
+#[derive(Debug)]
+struct Held {
+    state: Mutex<(Ledger, u64)>,
+    written: Condvar,
+}
+
+impl Held {
+    /// Poison recovery: no ledger transition panics midway.
+    fn lock(&self) -> MutexGuard<'_, (Ledger, u64)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// What a handle knows of the file: the ledger through byte `pos`.
@@ -741,7 +764,13 @@ impl LedgerFile {
     /// A handle to the ledger at `path` (the file need not exist yet;
     /// see [`LedgerFile::init`]).
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        LedgerFile { path: path.into(), cache: Arc::default() }
+        LedgerFile { path: path.into(), cache: Arc::default(), memory: None }
+    }
+
+    /// A handle to `ledger` held in memory: an in-memory sweep's.
+    pub(crate) fn in_memory(ledger: Ledger) -> Self {
+        let held = Held { state: Mutex::new((ledger, 0)), written: Condvar::new() };
+        LedgerFile { path: PathBuf::new(), cache: Arc::default(), memory: Some(Arc::new(held)) }
     }
 
     /// The ledger file's path.
@@ -762,8 +791,11 @@ impl LedgerFile {
     /// `Leased` cells stay leased until their leases expire. A
     /// pre-existing file without `resume` is refused so two unrelated
     /// sweeps never share a ledger by accident. Either way the file is
-    /// rewritten as one snapshot.
+    /// rewritten as one snapshot. A ledger in memory is replaced.
     pub fn init(&self, fresh: Ledger, resume: bool) -> Result<Ledger, NlsError> {
+        if self.memory.is_some() {
+            return self.update(&CancelToken::new(), |l| l.clone_from(&fresh)).map(|()| fresh);
+        }
         let _lock = self.acquire_lock(&CancelToken::new())?;
         let existing = self.load_locked()?;
         let ledger = match existing {
@@ -814,6 +846,9 @@ impl LedgerFile {
     /// Reads the current ledger under the lock (e.g. for the final
     /// merge).
     pub fn read(&self, cancel: &CancelToken) -> Result<Ledger, NlsError> {
+        if let Some(held) = &self.memory {
+            return Ok(held.lock().0.clone());
+        }
         let _lock = self.acquire_lock(cancel)?;
         let cached = self.load_locked()?.ok_or_else(|| self.missing("does not exist"))?;
         let ledger = cached.ledger.clone();
@@ -823,8 +858,12 @@ impl LedgerFile {
 
     /// Rewrites the file as one snapshot with the journal folded in,
     /// and returns the ledger. For a caller whose workers have all
-    /// exited: the file left behind reads one line per cell again.
+    /// exited: the file left behind reads one line per cell again. A
+    /// ledger held in memory is only read.
     pub fn compact(&self, cancel: &CancelToken) -> Result<Ledger, NlsError> {
+        if self.memory.is_some() {
+            return self.read(cancel);
+        }
         let _lock = self.acquire_lock(cancel)?;
         let cached = self.load_locked()?.ok_or_else(|| self.missing("does not exist"))?;
         self.snapshot_locked(cached.ledger)
@@ -833,12 +872,25 @@ impl LedgerFile {
     /// The atomic read-modify-write every state transition goes
     /// through: lock, catch up on the file, mutate, append the changes
     /// as one durable journal line (nothing when nothing changed),
-    /// unlock.
+    /// unlock. In memory: mutate under the mutex (there is no lock
+    /// wait for `cancel` to cut short), and count a write when
+    /// anything changed.
     pub fn update<T>(
         &self,
         cancel: &CancelToken,
         f: impl FnOnce(&mut Ledger) -> T,
     ) -> Result<T, NlsError> {
+        if let Some(held) = &self.memory {
+            let mut state = held.lock();
+            let before = state.0.header();
+            let out = f(&mut state.0);
+            if state.0.header() != before || !state.0.changed.is_empty() {
+                state.0.changed.clear();
+                state.1 += 1;
+                held.written.notify_all();
+            }
+            return Ok(out);
+        }
         let _lock = self.acquire_lock(cancel)?;
         let mut cached =
             self.load_locked()?.ok_or_else(|| self.missing("disappeared mid-sweep"))?;
@@ -876,15 +928,22 @@ impl LedgerFile {
         self.update(cancel, |l| l.claim_cells(worker, now_ms(), take))
     }
 
-    /// The file's current [`LedgerStamp`].
+    /// The ledger's current [`LedgerStamp`].
     pub(crate) fn stamp(&self) -> LedgerStamp {
+        if let Some(held) = &self.memory {
+            return LedgerStamp(held.lock().1, None);
+        }
         let meta = fs::metadata(&self.path).ok();
-        LedgerStamp(meta.and_then(|m| Some((m.len(), m.modified().ok()?))))
+        LedgerStamp(
+            meta.as_ref().map_or(0, fs::Metadata::len),
+            meta.and_then(|m| m.modified().ok()),
+        )
     }
 
     /// Waits until the ledger no longer matches `seen` (another worker
     /// wrote it), until epoch ms `until_ms`, or until `cancel` trips,
-    /// checking the stamp once per [`sleep_polling`] slice. Returns
+    /// checking a file's stamp once per [`sleep_polling`] slice (a
+    /// write to a ledger in memory ends the wait at once). Returns
     /// false on cancellation.
     pub(crate) fn wait_for_change(
         &self,
@@ -892,8 +951,20 @@ impl LedgerFile {
         until_ms: u64,
         cancel: &CancelToken,
     ) -> bool {
-        let ms = until_ms.saturating_sub(now_ms()).max(1);
-        sleep_polling_until(ms, cancel, || self.stamp() != seen)
+        let Some(held) = &self.memory else {
+            let ms = until_ms.saturating_sub(now_ms()).max(1);
+            return sleep_polling_until(ms, cancel, || self.stamp() != seen);
+        };
+        // In slices, like `sleep_polling`, so a cancellation is seen.
+        let mut state = held.lock();
+        while LedgerStamp(state.1, None) == seen
+            && !cancel.is_cancelled()
+            && now_ms() < until_ms
+        {
+            let slice = held.written.wait_timeout(state, Duration::from_millis(10));
+            state = slice.unwrap_or_else(PoisonError::into_inner).0;
+        }
+        !cancel.is_cancelled()
     }
 
     fn missing(&self, what: &str) -> NlsError {
@@ -1127,12 +1198,13 @@ fn sleep_polling_until(ms: u64, cancel: &CancelToken, mut woken: impl FnMut() ->
     !cancel.is_cancelled()
 }
 
-/// The ledger file's size and modification time. Every write either
-/// appends a journal line, growing the file, or renames a new snapshot
-/// over it, so a different stamp means some worker wrote the ledger
+/// The ledger file's size and modification time, or an in-memory
+/// ledger's count of writes. Every write either appends a journal
+/// line, growing the file, renames a new snapshot over it, or counts
+/// one more, so a different stamp means some worker wrote the ledger
 /// since the stamp was taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LedgerStamp(Option<(u64, SystemTime)>);
+pub(crate) struct LedgerStamp(u64, Option<SystemTime>);
 
 /// A background lease-renewal thread for one claim's cells. Renews
 /// every lease the claim still holds at a third of the lease

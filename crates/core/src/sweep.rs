@@ -7,56 +7,49 @@
 //! many runs — (benchmark × cache configuration) pairs — across
 //! threads with deterministic result ordering.
 //!
+//! Every sweep runs on a work ledger, with one claim loop, retry
+//! policy, budget rule and merge: [`run_sweep_supervised`] runs
+//! [`run_ledger_worker`] threads over a ledger held in memory or, over
+//! a [`LedgerFile`], durably; `nls sweep --ledger` and `nls serve` run
+//! the same worker in their processes.
+//!
 //! # Trace sharing
 //!
 //! A run's trace depends only on its benchmark, trace length and
-//! seed, so a sweep amortises generation across caches too. Both
-//! executors — the in-memory sweep's threads, and the
-//! [`run_ledger_worker`]s sharing a ledger (threads or processes) —
-//! claim by one rule: the next ⌈claimable / executors⌉ runs, cut
-//! where the benchmark changes and before the claim's summed engine
-//! state passes a mebibyte. A claim is simulated over one synthesis
-//! and one walk ([`run_cells_supervised`]). Executors take whole
-//! benchmarks while many runs remain (unless their state is too large
-//! to hold at once) and single runs at the tail. Every run's results
-//! equal those of the run alone. A ledger worker also keeps the last
-//! benchmark's program for its next claim of the same benchmark.
+//! seed, so a sweep amortises generation across caches too. Workers
+//! claim by one rule ([`claim_len`]): the next ⌈claimable / executors⌉
+//! runs, cut where the benchmark changes and before the claim's summed
+//! engine state passes a mebibyte, simulated over one synthesis and
+//! one walk ([`run_cells_supervised`]). So workers take whole
+//! benchmarks while many runs remain and single runs at the tail, and
+//! every run's results equal those of the run alone. A worker also
+//! keeps the last benchmark's program for its next claim.
 //!
-//! # Fault tolerance
+//! # Fault tolerance and supervision
 //!
-//! Sweep workers are panic-isolated: a run whose engine panics is
-//! caught with [`std::panic::catch_unwind`], retried up to
-//! `MAX_RETRIES` (one) times, and reported as a [`RunError`] in that
-//! run's slot — the other runs complete normally. A claim of several
-//! runs that panics is retried run by run, each with its full retry
-//! budget (the failed shared attempt is not counted), so the
-//! panicking run still fails alone. Over a [`LedgerFile`],
-//! [`run_sweep_supervised`] is durable: its threads are ledger workers
-//! ([`run_ledger_worker`]), which publish every completed run to the
-//! ledger, so an interrupted sweep restarts where it stopped instead
-//! of from scratch.
-//!
-//! # Supervision
-//!
-//! Every run loop here polls a [`Budget`], so sweeps are also
-//! cancellable and deadline-bounded: [`run_sweep_supervised`] takes
-//! an explicit budget, stops claiming new runs once it trips, lets
-//! in-flight runs degrade cooperatively ([`Outcome::Degraded`]), and
-//! reports never-started runs as [`RunError::Interrupted`]. Only
-//! complete outcomes enter a ledger, so a resumed sweep is
-//! bit-for-bit identical to an uninterrupted one. The unsupervised
-//! entry points run under [`Budget::unlimited`].
+//! A claim whose engine panics is caught with
+//! [`std::panic::catch_unwind`] and retried run by run, so the
+//! panicking run fails alone; it spends one ledger attempt per failure
+//! and is reported as [`RunError::Panicked`] once they are spent.
+//! Every run loop polls a [`Budget`]: workers stop claiming once it
+//! trips, and a run it stops is released with its attempt refunded and
+//! merges, like every run that never started, as
+//! [`RunError::Interrupted`]. Only complete outcomes enter a ledger, so
+//! a resumed durable sweep is bit-for-bit identical to an uninterrupted
+//! one. The unsupervised entry points run under [`Budget::unlimited`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
 use nls_icache::CacheConfig;
 use nls_trace::{BenchProfile, Program};
 
 use crate::budget::{Budget, CancelToken};
 use crate::error::{NlsError, RunError};
-use crate::ledger::{self, CellState, ClaimOutcome, Heartbeat, Ledger, LedgerFile};
+use crate::ledger::{
+    self, CellState, ClaimOutcome, Heartbeat, Ledger, LedgerFile, DEFAULT_LEASE_MS,
+    DEFAULT_MAX_ATTEMPTS,
+};
 use crate::metrics::SimResult;
 use crate::spec::EngineSpec;
 use crate::supervisor::{
@@ -82,14 +75,14 @@ impl Default for SweepConfig {
     }
 }
 
-/// Extra attempts every sweep grants a run whose engine panics, so a
-/// run is tried `1 + MAX_RETRIES` times on its own before it is
-/// reported as a [`RunError::Panicked`]. A run that first panics
-/// inside a walk it shares with other runs (see *Trace sharing* in the
-/// module docs) then gets these attempts alone: the shared attempt is
-/// an extra one, not counted in `attempts`. Retries cost one full
-/// re-simulation each; they only help against nondeterministic
-/// failures.
+/// Extra tries a ledger worker grants a run whose engine panics within
+/// one ledger attempt, so a run is tried `1 + MAX_RETRIES` times on its
+/// own before the attempt is recorded as failed (and
+/// [`RunError::Panicked`] counts ledger attempts). A run that first
+/// panics inside a walk it shares with other runs (see *Trace sharing*
+/// in the module docs) then gets these tries alone: the shared try is
+/// an extra one. Retries cost one full re-simulation each; they only
+/// help against nondeterministic failures.
 const MAX_RETRIES: u32 = 1;
 
 /// One (workload, cache, engines) simulation unit.
@@ -141,16 +134,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Executes one run under `catch_unwind` with bounded retry.
-fn attempt_run(
-    mut run: impl FnMut() -> Outcome,
-    spec: &RunSpec,
-    max_retries: u32,
-) -> Result<Outcome, RunError> {
-    let attempts = max_retries.saturating_add(1);
+/// Executes one run under `catch_unwind`, tried up to
+/// `1 + max_retries` times; `Err` is the last panic's message.
+fn attempt_run(mut run: impl FnMut() -> Outcome, max_retries: u32) -> Result<Outcome, String> {
     let mut last = String::new();
     // nls-lint: allow(cancellation-reach): bounded by the retry budget (1 + max_retries); each attempt's run loop polls the budget itself
-    for _ in 0..attempts {
+    for _ in 0..=max_retries {
         // AssertUnwindSafe: on panic the engines and trace state of
         // this attempt are dropped wholesale, so no torn state is
         // observable afterwards.
@@ -159,25 +148,20 @@ fn attempt_run(
             Err(payload) => last = panic_message(payload.as_ref()),
         }
     }
-    Err(RunError::Panicked {
-        run: format!("{} @ {}", spec.bench.name, spec.cache.label()),
-        message: last,
-        attempts,
-    })
+    Err(last)
 }
 
 /// Executes one claim — cells of one benchmark — with `run_cells`,
 /// which simulates the cells it is given over one walk and returns one
 /// outcome per cell. A claim of several cells that panics is retried
-/// cell by cell, each cell on a walk of its own with its full retry
-/// budget, so a panicking cell fails alone with `1 + max_retries`
-/// counted attempts (the shared attempt is not counted) and its
-/// neighbours complete.
+/// cell by cell, each cell on a walk of its own tried `1 + max_retries`
+/// times (the shared attempt is not counted), so a panicking cell fails
+/// alone, with its last panic's message, and its neighbours complete.
 fn attempt_claim(
     claim: &[&RunSpec],
     max_retries: u32,
     mut run_cells: impl FnMut(&[&RunSpec]) -> Vec<Outcome>,
-) -> Vec<Result<Outcome, RunError>> {
+) -> Vec<Result<Outcome, String>> {
     if claim.len() > 1 {
         // AssertUnwindSafe: as in `attempt_run`, a panicking walk
         // drops all of its state.
@@ -187,17 +171,26 @@ fn attempt_claim(
     }
     claim
         .iter()
-        .map(|&spec| attempt_run(|| one_outcome(run_cells(&[spec])), spec, max_retries))
+        .map(|&spec| attempt_run(|| one_outcome(run_cells(&[spec])), max_retries))
         .collect()
 }
 
-/// Simulates a claim's cells over one walk of their benchmark's
-/// program: a claim holds cells of one benchmark, so its first cell
-/// names the program all of them walk.
-fn run_claim_shared(claim: &[&RunSpec], cfg: &SweepConfig, budget: &Budget) -> Vec<Outcome> {
+/// How a ledger worker simulates a claim: the cells of one benchmark
+/// over one walk, given the worker's last program ([`program_for`]).
+type ClaimRunner<'a> =
+    dyn Fn(&mut Option<(BenchProfile, Program)>, &[&RunSpec]) -> Vec<Outcome> + Sync + 'a;
+
+/// The [`ClaimRunner`] of every sweep: [`run_cells_supervised`] over
+/// the program of the claim's benchmark, which its first cell names.
+fn simulate_claim(
+    kept: &mut Option<(BenchProfile, Program)>,
+    claim: &[&RunSpec],
+    cfg: &SweepConfig,
+    budget: &Budget,
+) -> Vec<Outcome> {
     match claim.first() {
         Some(first) => {
-            run_cells_supervised(&synthesize_bench(&first.bench), claim, cfg, budget)
+            run_cells_supervised(program_for(kept, &first.bench), claim, cfg, budget)
         }
         None => Vec::new(),
     }
@@ -213,12 +206,11 @@ fn run_claim_shared(claim: &[&RunSpec], cfg: &SweepConfig, budget: &Budget) -> V
 /// number of geometries.
 pub(crate) const CLAIM_STATE_BYTES: u64 = 1 << 20;
 
-/// The claim rule of both sweep executors, the in-memory sweep's
-/// threads and ledger workers ([`run_ledger_worker`]): how many cells
-/// the next claim takes. `pending` lists the claimable cells in claim
-/// order, each as its benchmark and its state estimate. A claim is
-/// the next ⌈claimable / executors⌉ of them, cut where the benchmark
-/// changes and before the claim's summed state passes
+/// The claim rule of every ledger worker ([`run_ledger_worker`]): how
+/// many cells the next claim takes. `pending` lists the claimable cells
+/// in claim order, each as its benchmark and its state estimate. A
+/// claim is the next ⌈claimable / executors⌉ of them, cut where the
+/// benchmark changes and before the claim's summed state passes
 /// [`CLAIM_STATE_BYTES`], and never fewer than one cell. While many cells remain, a claim is
 /// a whole benchmark — one synthesis and one walk for all its cells —
 /// unless its state is too large, and near the end claims shrink to
@@ -257,161 +249,81 @@ pub(crate) fn ledger_claim_len(
 
 /// How many executors a sweep of `cells` cells runs: the available
 /// parallelism (4 when it is unknown), at most one per cell and never
-/// fewer than one. In-memory sweeps run this many threads, durable
-/// sweeps this many ledger workers, and `nls sweep --ledger` this
-/// many worker processes unless told otherwise.
+/// fewer than one. In-process sweeps run this many ledger worker
+/// threads, and `nls sweep --ledger` this many worker processes unless
+/// told otherwise.
 pub fn executor_count(cells: usize) -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(cells.max(1))
 }
 
-/// The in-memory sweep executor behind [`run_sweep`] and
-/// [`run_sweep_supervised`] without a ledger: threads claim cells of
-/// one benchmark at a time ([`claim_len`]) and hand each claim to
-/// `run_claim`, which returns one result per cell, with budget polling
-/// between claims.
-fn sweep_inner<F>(
-    runs: &[RunSpec],
-    budget: &Budget,
-    run_claim: &F,
-) -> Vec<Result<Outcome, RunError>>
-where
-    F: Fn(&[&RunSpec]) -> Vec<Result<Outcome, RunError>> + Sync,
-{
-    let pending: Vec<(&BenchProfile, u64)> =
-        runs.iter().map(|run| (&run.bench, run.state_bytes())).collect();
-    let threads = executor_count(runs.len());
-    // Poison recovery throughout: every critical section below leaves
-    // its data consistent (a cursor bump, whole slot stores), and the
-    // claims run under catch_unwind, so a poisoned lock still guards
-    // good data.
-    let next = Mutex::new(0usize);
-    let slots: Mutex<Vec<Option<Result<Outcome, RunError>>>> =
-        Mutex::new(vec![None; runs.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // Stop claiming work once the sweep budget trips;
-                // runs never started are reported as interrupted
-                // below, after the scope joins.
-                if budget.check_now().is_err() {
-                    break;
-                }
-                let (start, claim) = {
-                    let mut next = next.lock().unwrap_or_else(PoisonError::into_inner);
-                    let start = *next;
-                    let rest = pending.get(start..).unwrap_or_default();
-                    *next += claim_len(rest.iter().copied(), threads);
-                    (start, runs.get(start..*next).unwrap_or_default())
-                };
-                if claim.is_empty() {
-                    break;
-                }
-                let outcomes = run_claim(&claim.iter().collect::<Vec<_>>());
-                let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
-                for (slot, outcome) in
-                    slots.iter_mut().skip(start).take(claim.len()).zip(outcomes)
-                {
-                    *slot = Some(outcome);
-                }
-            });
-        }
-    });
-
-    // Every index was claimed by a thread and resolved. An unfilled
-    // slot is a run the tripped budget kept from starting — or, with
-    // a healthy budget, an executor bug reported as a failed run.
-    let stopped = budget.check_now().err();
-    slots
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.unwrap_or_else(|| {
-                let run = runs.get(i).map(RunSpec::key).unwrap_or_else(|| format!("run #{i}"));
-                match &stopped {
-                    Some(reason) => {
-                        Err(RunError::Interrupted { run, reason: reason.to_string() })
-                    }
-                    None => Err(RunError::Panicked {
-                        run,
-                        message: "run was never scheduled".to_string(),
-                        attempts: 0,
-                    }),
-                }
-            })
-        })
-        .collect()
-}
-
-/// The in-memory supervised sweep: [`sweep_inner`] with each claim
-/// simulated over one walk ([`attempt_claim`]).
-fn sweep_in_memory(
-    runs: &[RunSpec],
-    cfg: &SweepConfig,
-    budget: &Budget,
-) -> Vec<Result<Outcome, RunError>> {
-    let run_claim = |claim: &[&RunSpec]| {
-        attempt_claim(claim, MAX_RETRIES, |claim| run_claim_shared(claim, cfg, budget))
-    };
-    sweep_inner(runs, budget, &run_claim)
-}
-
 /// The fully supervised sweep: panic isolation, bounded retry and a
-/// caller-owned [`Budget`], in memory or, over `ledger`, durable.
-///
-/// In memory (`ledger` is `None`), per slot: `Ok(Outcome::Complete)`
-/// for runs that finished, `Ok(Outcome::Degraded)` for runs a per-run
-/// limit truncated (partial metrics included),
-/// `Err(RunError::Interrupted)` for runs the tripped budget kept from
-/// starting, and `Err(RunError::Panicked)` for runs that exhausted
-/// their retries.
-///
-/// Durable: the caller has [`init`](LedgerFile::init)ed `ledger`,
-/// fresh or resumed, with its own lease and attempt settings.
-/// [`executor_count`] threads each run [`run_ledger_worker`] over it,
-/// so every completed run is published as it finishes and cells
-/// already done are not run again; then the file is compacted to one
-/// snapshot and the outcomes are merged from it
-/// ([`merge_ledger_outcomes`]). A resumed sweep reproduces an
-/// uninterrupted one bit-for-bit. The ledger's rules apply: a run the
-/// budget degrades is released with its attempt refunded and merges,
-/// like every run unfinished when the budget tripped, as
-/// `Err(RunError::Interrupted)`; a run that keeps panicking spends
-/// its ledger attempts and merges as `Err(RunError::Panicked)`.
+/// caller-owned [`Budget`]. [`executor_count`] threads run
+/// [`run_ledger_worker`] over a ledger held in memory (with the default
+/// lease and attempts) or over `ledger`, which the caller has
+/// [`init`](LedgerFile::init)ed, fresh or resumed: then every finished
+/// run is published as it completes, and a resumed sweep reproduces an
+/// uninterrupted one bit-for-bit. The outcomes are merged from the
+/// ledger ([`merge_ledger_outcomes`]): each run's results, or
+/// `Err(RunError::Interrupted)` with the stop reason for a run the
+/// budget stopped or kept from starting (its partial metrics are never
+/// returned), or `Err(RunError::Panicked)` for a run that spent its
+/// attempts.
 ///
 /// # Errors
 ///
-/// Durable sweeps only: a worker's error other than
-/// [`NlsError::Interrupted`] (a ledger failure, exit code 8), or a
+/// A worker's error other than [`NlsError::Interrupted`] (a ledger
+/// failure, exit code 8, or a worker thread that panicked), or a
 /// failed compaction.
 pub fn run_sweep_supervised(
     runs: &[RunSpec],
     cfg: &SweepConfig,
     budget: &Budget,
     ledger: Option<&LedgerFile>,
-) -> Result<Vec<Result<Outcome, RunError>>, NlsError> {
-    let Some(file) = ledger else {
-        return Ok(sweep_in_memory(runs, cfg, budget));
+) -> Result<Vec<Result<Vec<SimResult>, RunError>>, NlsError> {
+    let in_memory;
+    let file = match ledger {
+        Some(file) => file,
+        None => {
+            let keys = runs.iter().map(RunSpec::key);
+            let fresh = Ledger::new(cfg, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS, keys);
+            in_memory = LedgerFile::in_memory(fresh);
+            &in_memory
+        }
     };
+    sweep_over(runs, budget, file, MAX_RETRIES, &|kept, claim| {
+        simulate_claim(kept, claim, cfg, budget)
+    })
+}
+
+/// The one sweep executor behind [`run_sweep_supervised`]: ledger
+/// workers ([`work_ledger`]) on [`executor_count`] threads, each claim
+/// simulated by `run_cells` at `max_retries`, then the compacted
+/// ledger merged in run order. An unfinished cell carries the first
+/// stop reason a worker returned. Fault-injection tests pass their own
+/// `run_cells`.
+fn sweep_over(
+    runs: &[RunSpec],
+    budget: &Budget,
+    file: &LedgerFile,
+    max_retries: u32,
+    run_cells: &ClaimRunner<'_>,
+) -> Result<Vec<Result<Vec<SimResult>, RunError>>, NlsError> {
     let workers = executor_count(runs.len());
-    let ids: Vec<String> =
-        (0..workers).map(|i| format!("{}-t{i}", std::process::id())).collect();
     let errors: Vec<NlsError> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ids
-            .iter()
-            .map(|id| {
-                scope.spawn(move || run_ledger_worker(runs, cfg, budget, file, id, workers))
+        let handles: Vec<_> = (0..workers)
+            .map(|i| {
+                let id = format!("{}-t{i}", std::process::id());
+                scope.spawn(move || {
+                    work_ledger(runs, budget, file, &id, workers, max_retries, run_cells)
+                })
             })
             .collect();
-        handles
-            .into_iter()
-            .zip(&ids)
-            .filter_map(|(handle, id)| match handle.join() {
+        let joined = handles.into_iter().map(|handle| handle.join());
+        joined
+            .filter_map(|report| match report {
                 Ok(report) => report.err(),
                 Err(payload) => Some(NlsError::Run(RunError::Panicked {
-                    run: format!("ledger worker {id}"),
+                    run: "a ledger worker thread".to_string(),
                     message: panic_message(payload.as_ref()),
                     attempts: 1,
                 })),
@@ -419,10 +331,22 @@ pub fn run_sweep_supervised(
             .collect()
     });
     let ledger = file.compact(&CancelToken::new())?;
-    match errors.into_iter().find(|e| !matches!(e, NlsError::Interrupted(_))) {
-        Some(e) => Err(e),
-        None => Ok(merge_ledger_outcomes(runs, &ledger)),
+    let stopped = errors.iter().find_map(|e| match e {
+        NlsError::Interrupted(reason) => Some(reason.clone()),
+        _ => None,
+    });
+    if let Some(e) = errors.into_iter().find(|e| !matches!(e, NlsError::Interrupted(_))) {
+        return Err(e);
     }
+    let merged = merge_ledger_outcomes(runs, &ledger).into_iter();
+    Ok(merged
+        .map(|outcome| match (outcome, &stopped) {
+            (Err(RunError::Interrupted { run, .. }), Some(reason)) => {
+                Err(RunError::Interrupted { run, reason: reason.clone() })
+            }
+            (outcome, _) => outcome,
+        })
+        .collect())
 }
 
 /// One worker's execution summary from a ledger-coordinated sweep.
@@ -452,26 +376,27 @@ fn program_for<'k>(
     &kept.get_or_insert_with(|| (bench.clone(), synthesize_bench(bench))).1
 }
 
-/// One worker's share of a ledger-coordinated sweep (a thread of a
-/// durable [`run_sweep_supervised`], an `nls sweep --ledger` worker
-/// process, or a serve job): claim cells of one benchmark by the
-/// sweep's claim rule, sized for `workers` workers sharing the
-/// ledger, simulate the claim over one walk under `budget` while one
-/// [`Heartbeat`] renews all of its leases, publish every cell's
-/// outcome in one ledger update, and repeat until the ledger drains.
-/// Consecutive claims of one benchmark walk one synthesised program.
+/// One worker's share of a ledger-coordinated sweep (a thread of
+/// [`run_sweep_supervised`], an `nls sweep --ledger` worker process,
+/// or a serve job): claim cells of one benchmark by the sweep's claim
+/// rule, sized for `workers` workers sharing the ledger, simulate the
+/// claim over one walk under `budget` while one [`Heartbeat`] renews
+/// all of its leases, publish every cell's outcome in one ledger
+/// update, and repeat until the ledger drains. Consecutive claims of
+/// one benchmark walk one synthesised program.
 ///
 /// Leases, attempts, backoff and the heap budget stay per cell. Per
 /// the supervision contract, a tripped budget or cancellation returns
-/// [`NlsError::Interrupted`] (exit code 7) after releasing any held
-/// lease: a cell the budget degraded is released with its attempt
-/// refunded, in the same update that publishes the claim's other
-/// cells. A panicking claim is retried cell by cell, as in process; a
-/// cell that still panics consumes one of its attempts and the worker
-/// moves on. A cell whose lease is lost mid-run (this process was
-/// presumed dead) discards its results — whoever reclaimed it
-/// republishes the identical bits, so the merged sweep stays
-/// deterministic.
+/// [`NlsError::Interrupted`] (exit code 7) with the stop reason, after
+/// releasing any held lease: a cell the budget stopped is released
+/// with its attempt refunded, in the same update that publishes the
+/// claim's other cells. A panicking claim is retried cell by cell
+/// (`MAX_RETRIES` retries each); a cell that still panics consumes one
+/// of its attempts, recorded with the panic's message, and the worker
+/// moves on. A cell whose lease is lost
+/// mid-run (this process was presumed dead) discards its results —
+/// whoever reclaimed it republishes the identical bits, so the merged
+/// sweep stays deterministic.
 pub fn run_ledger_worker(
     runs: &[RunSpec],
     cfg: &SweepConfig,
@@ -479,6 +404,21 @@ pub fn run_ledger_worker(
     file: &LedgerFile,
     worker: &str,
     workers: usize,
+) -> Result<WorkerReport, NlsError> {
+    let run_cells = |kept: &mut _, claim: &[&RunSpec]| simulate_claim(kept, claim, cfg, budget);
+    work_ledger(runs, budget, file, worker, workers, MAX_RETRIES, &run_cells)
+}
+
+/// [`run_ledger_worker`] with each claim simulated by `run_cells` at
+/// `max_retries`.
+fn work_ledger(
+    runs: &[RunSpec],
+    budget: &Budget,
+    file: &LedgerFile,
+    worker: &str,
+    workers: usize,
+    max_retries: u32,
+    run_cells: &ClaimRunner<'_>,
 ) -> Result<WorkerReport, NlsError> {
     let cancel = budget.cancel_token();
     let mut report = WorkerReport::default();
@@ -488,7 +428,7 @@ pub fn run_ledger_worker(
     let mut kept: Option<(BenchProfile, Program)> = None;
     loop {
         if let Err(reason) = budget.check_now() {
-            return Err(NlsError::Interrupted(format!("worker {worker}: {reason}")));
+            return Err(NlsError::Interrupted(reason.to_string()));
         }
         // Stamped before the claim, so a write that lands after the
         // claim's read cannot slip past the wait below.
@@ -532,12 +472,7 @@ pub fn run_ledger_worker(
         let hb = Heartbeat::start_all(file, &keys, worker, lease_ms, &cancel);
         // The program is fetched inside each attempt, so a panic there
         // is isolated like any other.
-        let outcomes = attempt_claim(&specs, MAX_RETRIES, |claim| match claim.first() {
-            Some(first) => {
-                run_cells_supervised(program_for(&mut kept, &first.bench), claim, cfg, budget)
-            }
-            None => Vec::new(),
-        });
+        let outcomes = attempt_claim(&specs, max_retries, |claim| run_cells(&mut kept, claim));
         hb.stop();
         // Published under a fresh token: once the cells' fates are
         // known, publishing them must not be abandoned by a
@@ -560,9 +495,9 @@ pub fn run_ledger_worker(
                         l.release(key, worker, now);
                         degraded.get_or_insert(reason);
                     }
-                    Err(e) => {
+                    Err(panic) => {
                         failed += 1;
-                        l.record_failure(key, worker, now, &e.to_string());
+                        l.record_failure(key, worker, now, &panic);
                     }
                 }
             }
@@ -573,7 +508,7 @@ pub fn run_ledger_worker(
         if let Some(reason) = degraded {
             // The budget tripped: surface the interruption (exit 7 at
             // the CLI boundary).
-            return Err(NlsError::Interrupted(format!("worker {worker}: {reason}")));
+            return Err(NlsError::Interrupted(reason.to_string()));
         }
     }
 }
@@ -581,31 +516,29 @@ pub fn run_ledger_worker(
 /// Folds a drained ledger back into run-order outcomes — the shape
 /// [`run_sweep_supervised`] returns — so `--workers N` output is
 /// assembled deterministically from the ledger, independent of which
-/// worker ran which cell and in what order.
+/// worker ran which cell and in what order: a `Done` cell's results, a
+/// `Failed` cell as [`RunError::Panicked`] with its last error and
+/// spent attempts, and an unfinished cell as [`RunError::Interrupted`].
 pub fn merge_ledger_outcomes(
     runs: &[RunSpec],
     ledger: &Ledger,
-) -> Vec<Result<Outcome, RunError>> {
+) -> Vec<Result<Vec<SimResult>, RunError>> {
     runs.iter()
         .map(|r| {
             let key = r.key();
             match ledger.state(&key) {
-                Some(CellState::Done { results }) => Ok(Outcome::Complete(results.clone())),
+                Some(CellState::Done { results }) => Ok(results.clone()),
                 Some(CellState::Failed { attempts, error }) => Err(RunError::Panicked {
                     run: key,
                     message: error.clone(),
                     attempts: u32::try_from(*attempts).unwrap_or(u32::MAX),
                 }),
-                Some(CellState::Pending { .. }) | Some(CellState::Leased { .. }) => {
+                Some(CellState::Pending { .. } | CellState::Leased { .. }) | None => {
                     Err(RunError::Interrupted {
                         run: key,
                         reason: "cell was never completed (workers stopped early)".to_string(),
                     })
                 }
-                None => Err(RunError::Interrupted {
-                    run: key,
-                    reason: "cell missing from the ledger".to_string(),
-                }),
             }
         })
         .collect()
@@ -621,15 +554,15 @@ pub fn merge_ledger_outcomes(
 /// the legacy all-or-nothing contract. Use [`run_sweep_supervised`]
 /// to handle per-run failures.
 pub fn run_sweep(runs: &[RunSpec], cfg: &SweepConfig) -> Vec<SimResult> {
-    sweep_in_memory(runs, cfg, &Budget::unlimited())
-        .into_iter()
-        .map(|r| match r {
-            Ok(outcome) => outcome.into_results(),
-            // nls-lint: allow(no-panic): documented all-or-nothing contract of the legacy entry point
-            Err(e) => panic!("{e}"),
-        })
-        .collect::<Vec<_>>()
-        .concat()
+    let cells =
+        run_sweep_supervised(runs, cfg, &Budget::unlimited(), None).and_then(|outcomes| {
+            outcomes.into_iter().collect::<Result<Vec<_>, _>>().map_err(NlsError::Run)
+        });
+    match cells {
+        Ok(cells) => cells.concat(),
+        // nls-lint: allow(no-panic): documented all-or-nothing contract of the legacy entry point
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// The cross product of benchmarks × cache configurations, each with
@@ -821,7 +754,7 @@ mod tests {
         let merged: Vec<SimResult> =
             merge_ledger_outcomes(&runs, &file.read(&CancelToken::new()).expect("readable"))
                 .into_iter()
-                .map(|r| r.expect("every cell done").into_results())
+                .map(|r| r.expect("every cell done"))
                 .collect::<Vec<_>>()
                 .concat();
         assert_eq!(merged, run_sweep(&runs, &cfg));
@@ -881,12 +814,11 @@ mod tests {
             assert_eq!(outcomes.len(), runs.len());
             for (run, outcome) in runs.iter().zip(&outcomes) {
                 match outcome {
-                    Err(RunError::Panicked { attempts, .. }) => {
+                    Err(message) => {
                         assert_eq!(run.key(), poisoned, "only the panicking cell fails");
-                        assert_eq!(*attempts, 1 + max_retries);
+                        assert_eq!(message, "injected failure", "its last panic's message");
                     }
                     Ok(o) => assert!(o.is_complete(), "{} must complete", run.key()),
-                    Err(e) => panic!("unexpected {e:?}"),
                 }
             }
             assert_eq!(solo_attempts.load(Ordering::Relaxed), 1 + max_retries);
@@ -954,17 +886,19 @@ mod tests {
     }
 
     /// The in-memory sweep of `runs` with every claim simulated by
-    /// `run` through `attempt_claim` at `max_retries`: the executor of
-    /// every in-memory sweep, with a fault injected wherever `run`
-    /// panics.
+    /// `run`, each run given `1 + max_retries` ledger attempts and tried
+    /// alone once per attempt: the executor of every sweep, with a fault
+    /// injected wherever `run` panics.
     fn sweep_injected(
         runs: &[RunSpec],
         max_retries: u32,
-        run: impl Fn(&[&RunSpec]) -> Vec<Outcome> + Sync,
-    ) -> Vec<Result<Outcome, RunError>> {
-        sweep_inner(runs, &Budget::unlimited(), &|claim: &[&RunSpec]| {
-            attempt_claim(claim, max_retries, &run)
-        })
+        run: impl Fn(&mut Option<(BenchProfile, Program)>, &[&RunSpec]) -> Vec<Outcome> + Sync,
+    ) -> Vec<Result<Vec<SimResult>, RunError>> {
+        let attempts = 1 + u64::from(max_retries);
+        let keys = runs.iter().map(RunSpec::key);
+        let file = LedgerFile::in_memory(Ledger::new(&small_cfg(), 30_000, attempts, keys));
+        sweep_over(runs, &Budget::unlimited(), &file, 0, &run)
+            .expect("an in-memory sweep merges")
     }
 
     #[test]
@@ -975,23 +909,23 @@ mod tests {
             &[EngineSpec::nls_table(512)],
         );
         let cfg = small_cfg();
-        let outcomes = sweep_injected(&runs, 2, |claim| {
+        let outcomes = sweep_injected(&runs, 2, |kept, claim| {
             if let Some(spec) = claim.iter().find(|spec| spec.bench.name == "li") {
                 panic!("injected failure for {}", spec.bench.name);
             }
-            run_claim_shared(claim, &cfg, &Budget::unlimited())
+            simulate_claim(kept, claim, &cfg, &Budget::unlimited())
         });
         assert_eq!(outcomes.len(), 2);
         match &outcomes[0] {
             Err(RunError::Panicked { run, message, attempts }) => {
                 assert!(run.contains("li"));
                 assert!(message.contains("injected failure"));
-                assert_eq!(*attempts, 3, "1 initial + 2 retries");
+                assert_eq!(*attempts, 3, "1 initial + 2 retries, one try per ledger attempt");
             }
             other => panic!("expected the li run to fail, got {other:?}"),
         }
         let espresso = outcomes[1].as_ref().expect("espresso must survive li's panic");
-        assert_eq!(espresso.results(), run_one(&runs[1], &cfg));
+        assert_eq!(espresso, &run_one(&runs[1], &cfg));
     }
 
     #[test]
@@ -1004,7 +938,7 @@ mod tests {
             // in a shared walk that did not panic. A shared walk that
             // panics is the extra attempt the retry budget leaves out.
             let calls: Vec<AtomicU32> = runs.iter().map(|_| AtomicU32::new(0)).collect();
-            let outcomes = sweep_injected(&runs, max_retries, |claim| {
+            let outcomes = sweep_injected(&runs, max_retries, |_, claim| {
                 let hit = claim.iter().any(|spec| spec.key() == poisoned);
                 if !hit || claim.len() == 1 {
                     for spec in claim {
@@ -1035,12 +969,12 @@ mod tests {
         let cfg = SweepConfig { trace_len: 40_000, seed: 11 };
         // The injected engine dies on exactly one (bench, cache) pair,
         // and so does every shared walk that holds it.
-        let outcomes = sweep_injected(&runs, 0, |claim| {
+        let outcomes = sweep_injected(&runs, 0, |kept, claim| {
             if claim.iter().any(|r| r.bench.name == "espresso" && r.cache.label() == "8K 4-way")
             {
                 panic!("injected: predictor table index out of bounds");
             }
-            run_claim_shared(claim, &cfg, &Budget::unlimited())
+            simulate_claim(kept, claim, &cfg, &Budget::unlimited())
         });
 
         assert_eq!(outcomes.len(), runs.len());
@@ -1051,8 +985,8 @@ mod tests {
 
         // Every surviving run matches an undisturbed sequential run.
         for (i, outcome) in outcomes.iter().enumerate() {
-            if let Ok(outcome) = outcome {
-                assert_eq!(outcome.results(), run_one(&runs[i], &cfg));
+            if let Ok(results) = outcome {
+                assert_eq!(results, &run_one(&runs[i], &cfg));
             }
         }
     }
@@ -1064,10 +998,17 @@ mod tests {
             &[CacheConfig::paper(8, 1)],
             &[EngineSpec::nls_table(512)],
         );
-        let outcomes =
-            sweep_injected(&runs, 1, |_| -> Vec<Outcome> { panic!("synthetic engine defect") });
+        let outcomes = sweep_injected(&runs, 1, |_, _| -> Vec<Outcome> {
+            panic!("synthetic engine defect")
+        });
         let err = outcomes.into_iter().next().unwrap().unwrap_err();
         assert!(matches!(err, RunError::Panicked { attempts: 2, .. }), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "run li | 8K direct | nls-table512/gshare panicked after 2 attempt(s): \
+             synthetic engine defect",
+            "the note names the panic once"
+        );
         let nls: NlsError = err.into();
         assert_eq!(nls.exit_code(), 4);
         assert!(nls.to_string().contains("synthetic engine defect"));
@@ -1124,21 +1065,40 @@ mod tests {
     }
 
     #[test]
-    fn record_limited_sweep_degrades_every_started_run() {
-        let runs = cross(
-            &[BenchProfile::li()],
-            &[CacheConfig::paper(8, 1), CacheConfig::paper(8, 4)],
-            &[EngineSpec::nls_table(512)],
-        );
-        let budget = Budget::unlimited().with_max_records(5_000);
-        let outcomes = run_sweep_supervised(&runs, &small_cfg(), &budget, None)
-            .expect("an in-memory sweep cannot fail");
-        for o in &outcomes {
-            let outcome = o.as_ref().expect("record limits degrade, they do not error");
-            assert_eq!(outcome.stop_reason(), Some(&StopReason::RecordLimit { limit: 5_000 }));
-            for r in outcome.results() {
-                assert_eq!(r.instructions, 5_000);
+    fn a_budget_stops_the_same_cells_in_memory_and_over_a_file() {
+        let cfg = small_cfg();
+        let li = [BenchProfile::li()];
+        let engines = [EngineSpec::nls_table(512)];
+        // A record limit stops every cell; a heap limit refuses the
+        // large cell of a claim and lets the small one complete.
+        let every = cross(&li, &[CacheConfig::paper(8, 1), CacheConfig::paper(8, 4)], &engines);
+        let one = cross(&li, &[CacheConfig::paper(8, 1), CacheConfig::paper(128, 4)], &engines);
+        let (small, large) = (one[0].state_bytes(), one[1].state_bytes());
+        let heap = StopReason::HeapLimit { limit_bytes: small, estimated_bytes: large };
+        let cases = [
+            (every, Budget::unlimited().with_max_records(5_000), [true, true], "records"),
+            (one, Budget::unlimited().with_max_heap_bytes(small), [false, true], "heap"),
+        ];
+        let reasons = [StopReason::RecordLimit { limit: 5_000 }, heap];
+        for ((runs, budget, stops, name), reason) in cases.iter().zip(&reasons) {
+            let in_memory = run_sweep_supervised(runs, &cfg, budget, None)
+                .expect("an in-memory sweep merges");
+            let path = scratch_path(&format!("budget-{name}.json"));
+            let file = ledger_for(&path, runs, false);
+            let durable = run_sweep_supervised(runs, &cfg, budget, Some(&file))
+                .expect("a durable sweep merges");
+            assert_eq!(in_memory, durable, "{name}: one budget rule for both backings");
+            for ((run, outcome), stops) in runs.iter().zip(&in_memory).zip(stops) {
+                match outcome {
+                    Err(RunError::Interrupted { run: key, reason: why }) if *stops => {
+                        assert_eq!(key, &run.key());
+                        assert_eq!(why, &reason.to_string(), "{name}: it names the stop");
+                    }
+                    Ok(results) if !*stops => assert_eq!(results, &run_one(run, &cfg)),
+                    other => panic!("{name}: {} ended {other:?}", run.key()),
+                }
             }
+            let _ = std::fs::remove_file(&path);
         }
     }
 
@@ -1191,7 +1151,7 @@ mod tests {
         let file = ledger_for(&path, &runs, true);
         let complete = run_sweep_supervised(&runs, &cfg, &Budget::unlimited(), Some(&file))
             .expect("the resumed sweep merges");
-        assert!(complete[0].as_ref().expect("clean run").is_complete());
+        assert_eq!(complete[0].as_ref().expect("clean run"), &run_one(&runs[0], &cfg));
         let ledger = file.read(&CancelToken::new()).expect("readable");
         assert_eq!(
             ledger.state(&runs[0].key()),
@@ -1258,7 +1218,7 @@ mod tests {
         assert_eq!(final_ledger.counts().done, runs.len());
         let merged: Vec<SimResult> = merge_ledger_outcomes(&runs, &final_ledger)
             .into_iter()
-            .map(|r| r.expect("all cells done").into_results())
+            .map(|r| r.expect("all cells done"))
             .collect::<Vec<_>>()
             .concat();
         assert_eq!(merged, reference, "merged ledger output must be bit-for-bit identical");
@@ -1268,62 +1228,62 @@ mod tests {
     #[test]
     fn an_idle_ledger_worker_drains_as_soon_as_the_last_cell_completes() {
         use std::time::{Duration, Instant};
-        let dir = std::env::temp_dir().join("nls-ledger-sweep-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(format!("idle-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-
+        let path = scratch_path("idle.json");
         let runs = cross(
             &[BenchProfile::li(), BenchProfile::espresso()],
             &[CacheConfig::paper(8, 1)],
             &[EngineSpec::nls_table(512)],
         );
         let cfg = small_cfg();
-        let file = LedgerFile::new(&path);
         // A 30 s lease: the idle worker is told to wait that long.
-        file.init(Ledger::new(&cfg, 30_000, 3, runs.iter().map(RunSpec::key)), false)
-            .expect("fresh ledger");
-        let cancel = CancelToken::new();
-        // The second worker, driven by hand: it holds one cell while the
-        // worker under test finishes the other and goes idle.
-        let ClaimOutcome::Claimed { key, .. } =
-            file.claim(&cancel, "slow", |_| 1).expect("claim")
-        else {
-            panic!("a fresh ledger has a claimable cell");
-        };
-        let held = runs.iter().find(|r| r.key() == key).expect("the held cell is a run");
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (worker_runs, worker_file) = (runs.clone(), file.clone());
-        let idle = std::thread::spawn(move || {
-            let report = run_ledger_worker(
-                &worker_runs,
-                &cfg,
-                &Budget::unlimited(),
-                &worker_file,
-                "w0",
-                1,
+        let fresh = || Ledger::new(&cfg, 30_000, 3, runs.iter().map(RunSpec::key));
+        let on_disk = LedgerFile::new(&path);
+        on_disk.init(fresh(), false).expect("fresh ledger");
+        for file in [on_disk, LedgerFile::in_memory(fresh())] {
+            let cancel = CancelToken::new();
+            // The second worker, driven by hand: it holds one cell while
+            // the worker under test finishes the other and goes idle.
+            let ClaimOutcome::Claimed { key, .. } =
+                file.claim(&cancel, "slow", |_| 1).expect("claim")
+            else {
+                panic!("a fresh ledger has a claimable cell");
+            };
+            let held = runs.iter().find(|r| r.key() == key).expect("the held cell is a run");
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (worker_runs, worker_file) = (runs.clone(), file.clone());
+            let idle = std::thread::spawn(move || {
+                let report = run_ledger_worker(
+                    &worker_runs,
+                    &cfg,
+                    &Budget::unlimited(),
+                    &worker_file,
+                    "w0",
+                    1,
+                );
+                let _ = tx.send((report, Instant::now()));
+            });
+            let results = run_one(held, &cfg);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while file.read(&cancel).expect("readable").counts().done < 1 {
+                assert!(Instant::now() < deadline, "the worker never finished its cell");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            // Let the worker settle into its wait.
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(file
+                .update(&cancel, |l| l.complete(&key, "slow", results))
+                .expect("publish"));
+            let completed = Instant::now();
+            let (report, returned) =
+                rx.recv_timeout(Duration::from_secs(10)).expect("the idle worker must return");
+            idle.join().expect("the worker thread must not panic");
+            assert_eq!(report.expect("the worker drains").completed, 1);
+            let lag = returned.duration_since(completed);
+            assert!(
+                lag < Duration::from_millis(200),
+                "idle worker drained {lag:?} after the last cell"
             );
-            let _ = tx.send((report, Instant::now()));
-        });
-        let results = run_one(held, &cfg);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while file.read(&cancel).expect("readable").counts().done < 1 {
-            assert!(Instant::now() < deadline, "the worker never finished its cell");
-            std::thread::sleep(Duration::from_millis(10));
         }
-        // Let the worker settle into its wait.
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(file.update(&cancel, |l| l.complete(&key, "slow", results)).expect("publish"));
-        let completed = Instant::now();
-        let (report, returned) =
-            rx.recv_timeout(Duration::from_secs(10)).expect("the idle worker must return");
-        idle.join().expect("the worker thread must not panic");
-        assert_eq!(report.expect("the worker drains").completed, 1);
-        let lag = returned.duration_since(completed);
-        assert!(
-            lag < Duration::from_millis(200),
-            "idle worker drained {lag:?} after the last cell"
-        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1380,7 +1340,7 @@ mod tests {
             .expect("resume succeeds");
         let flat: Vec<SimResult> = resumed
             .into_iter()
-            .map(|r| r.expect("all runs complete on resume").into_results())
+            .map(|r| r.expect("all runs complete on resume"))
             .collect::<Vec<_>>()
             .concat();
         assert_eq!(flat, uninterrupted, "resume must be bit-for-bit identical");

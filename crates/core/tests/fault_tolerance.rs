@@ -38,7 +38,7 @@ fn durable_sweep(runs: &[RunSpec], file: &LedgerFile) -> Vec<Vec<SimResult>> {
     run_sweep_supervised(runs, &cfg(), &Budget::unlimited(), Some(file))
         .unwrap()
         .into_iter()
-        .map(|r| r.expect("every run completes").into_results())
+        .map(|r| r.expect("every run completes"))
         .collect()
 }
 

@@ -72,9 +72,17 @@ const GROWTH_METHODS: [&str; 10] = [
 /// The per-record engine files (the driver files in
 /// [`super::ENTRY_FILES`] — sweep, supervisor, ledger — are *not*
 /// hot: they run once per block or per run and may allocate).
+/// [`hot_reach`] descends only into the files listed here.
 const HOT_ENGINE_FILES: [&str; 6] = [
+    // Roots `FetchEngine::step`/`step_block`; holds the shared hooks
+    // (`resolve`, `classify`, `nls_action`) every engine calls.
     "crates/core/src/engine.rs",
+    // Roots the front end's `step`/`step_block`, the per-record path
+    // of every cell.
     "crates/core/src/front_end.rs",
+    // The four engine modules root nothing: they hold the hooks
+    // (`NlsTableCore::resolve`, the coupled engines' `fetch`/`refill`)
+    // that the front end's roots reach, which listing keeps in scope.
     "crates/core/src/btb_engine.rs",
     "crates/core/src/nls_table_engine.rs",
     "crates/core/src/nls_cache_engine.rs",

@@ -76,21 +76,38 @@ use crate::rules::{PathStep, Violation};
 use crate::source::SourceFile;
 use crate::symbols::{FnId, SymbolTable};
 
-/// The engine files whose `step`/`run*`/`drive` functions are the
-/// roots of reachability: everything a simulation executes per record
-/// hangs off these, plus the server's accept/worker loops (a daemon
-/// that cannot be cancelled cannot drain).
+/// The files whose `step`/`run*`/`drive` functions are the roots of
+/// reachability — everything a simulation executes per record hangs
+/// off these, plus the sweep drivers and the server's accept/worker
+/// loops (a daemon that cannot be cancelled cannot drain) — and whose
+/// loops `cancellation-reach` checks when a root reaches them.
 pub const ENTRY_FILES: [&str; 11] = [
+    // Roots the `FetchEngine::step` the benchmark's traced run drives;
+    // its shared hooks (`resolve`, `classify`) are loop-checked.
     "crates/core/src/engine.rs",
+    // Roots the front end's `step`s and `WalkHalf::runs`, which drive
+    // every engine hook.
     "crates/core/src/front_end.rs",
+    // The four engine modules root nothing (the front end drives
+    // them), but the loops of their constructors, heap estimates and
+    // `resolve` hooks, which the sweep roots reach, are checked.
     "crates/core/src/btb_engine.rs",
     "crates/core/src/nls_table_engine.rs",
     "crates/core/src/nls_cache_engine.rs",
     "crates/core/src/johnson_engine.rs",
+    // Roots `run_one`, `run_sweep`, `run_sweep_supervised` and
+    // `run_ledger_worker`.
     "crates/core/src/sweep.rs",
+    // Roots `run_one_supervised` and `run_cells_supervised`.
     "crates/core/src/supervisor.rs",
+    // Roots nothing; the loops of the ledger operations every worker
+    // calls are checked.
     "crates/core/src/ledger.rs",
+    // Roots nothing; the loops of the serve registry the job workers
+    // call are checked.
     "crates/core/src/serve.rs",
+    // Roots the server's `run_server`, `run_job_worker` and
+    // `run_claimed` loops.
     "crates/cli/src/serve.rs",
 ];
 

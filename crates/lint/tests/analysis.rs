@@ -195,6 +195,50 @@ fn hot_path_alloc_covers_the_front_end() {
     );
 }
 
+/// The engine modules root nothing, but their hooks run per record:
+/// a hook of each one that `front_end.rs`'s `step_block` reaches is
+/// scanned, so an allocation there is reported with its witness.
+#[test]
+fn hot_path_alloc_scans_the_engine_hooks_the_front_end_reaches() {
+    let front_end = "pub struct CellHalf { core: u64 }\n\
+                     impl CellHalf {\n\
+                     pub fn step_block(&mut self, block: &[u64]) {\n\
+                     for &pc in block {\n\
+                     self.core.resolve(pc);\n\
+                     }\n\
+                     }\n\
+                     }\n";
+    let engines = [
+        ("btb_engine", "BtbCore"),
+        ("nls_table_engine", "NlsTableCore"),
+        ("nls_cache_engine", "NlsCacheCore"),
+        ("johnson_engine", "JohnsonCore"),
+    ];
+    for (module, core) in engines {
+        let rel = format!("crates/core/src/{module}.rs");
+        let engine = format!(
+            "pub struct {core} {{ log: Vec<u64> }}\n\
+             impl {core} {{\n\
+             pub(crate) fn resolve(&mut self, pc: u64) {{\n\
+             self.log.push(pc);\n\
+             }}\n\
+             }}\n"
+        );
+        let report = analyze(
+            &[("crates/core/src/front_end.rs", front_end), (&rel, &engine)],
+            Docs::default(),
+        );
+        let witness = format!("CellHalf::step_block -> {core}::resolve");
+        assert!(
+            report.violations.iter().any(|v| v.rule == "hot-path-alloc"
+                && v.file == rel
+                && v.message.contains(&witness)),
+            "{rel}: the hook the front end reaches must be scanned: {:?}",
+            report.violations
+        );
+    }
+}
+
 #[test]
 fn lock_order_fixtures() {
     let rel = "crates/core/src/state.rs";

@@ -1,42 +1,5 @@
 //! Trace-length sensitivity ablation.
-//!
-//! The paper traces between 16 M and 1.4 B instructions per program;
-//! this reproduction defaults to 8 M. This ablation shows how the
-//! headline comparison (1024 NLS-table vs 128 direct BTB on gcc)
-//! moves with trace length, demonstrating that the shape is stable
-//! well below the default.
-
-use nls_bench::{fmt, Table};
-use nls_core::{run_one, EngineSpec, PenaltyModel, RunSpec, SweepConfig};
-use nls_icache::CacheConfig;
-use nls_trace::BenchProfile;
 
 fn main() {
-    let m = PenaltyModel::paper();
-    let mut t = Table::new(
-        "Ablation: trace length (gcc, 16K direct cache)",
-        &["trace len", "engine", "BEP", "%MfB", "%MpB"],
-    );
-    for len in [250_000usize, 1_000_000, 4_000_000, 8_000_000, 16_000_000] {
-        let spec = RunSpec {
-            bench: BenchProfile::gcc(),
-            cache: CacheConfig::paper(16, 1),
-            engines: vec![EngineSpec::btb(128, 1), EngineSpec::nls_table(1024)],
-        };
-        let cfg = SweepConfig { trace_len: len, seed: 0x0b5e_55ed };
-        for r in run_one(&spec, &cfg) {
-            t.row(vec![
-                len.to_string(),
-                r.engine.clone(),
-                fmt(r.bep(&m), 3),
-                fmt(r.pct_misfetched(), 2),
-                fmt(r.pct_mispredicted(), 2),
-            ]);
-        }
-    }
-    t.print();
-    println!("\nexpected: the NLS-vs-BTB misfetch gap is stable from ~1M instructions on;");
-    println!("absolute BEP drifts slightly downward as predictors warm.");
-    let path = t.save("ablation_trace_len");
-    println!("\nwrote {}", path.display());
+    nls_bench::stage_main(nls_bench::ablations::ABLATION_TRACE_LEN);
 }

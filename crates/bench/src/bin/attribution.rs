@@ -1,84 +1,5 @@
 //! §7 attribution analysis: where the penalties come from.
-//!
-//! The paper explains Figure 7 by attribution: "The differences in
-//! the BEP between the BTB and NLS architectures is attributable to
-//! differences in the number of misfetched branches", and "any
-//! difference in the mispredict penalty for a given program is
-//! attributed to the variation in the mispredict penalty for
-//! indirect jumps across the different architectures ... only
-//! noticeable for groff". This experiment breaks every engine's
-//! penalty events down by break kind to verify both statements.
-
-use nls_bench::{fmt, sweep_config, Table};
-use nls_core::{cross, run_sweep, EngineSpec};
-use nls_icache::CacheConfig;
-use nls_trace::{BenchProfile, BreakKind};
 
 fn main() {
-    let cfg = sweep_config();
-    let engines =
-        [EngineSpec::btb(128, 1), EngineSpec::btb(256, 4), EngineSpec::nls_table(1024)];
-    let cache = CacheConfig::paper(16, 1);
-    let runs = cross(&BenchProfile::all(), &[cache], &engines);
-    let results = run_sweep(&runs, &cfg);
-
-    let mut t = Table::new(
-        "Attribution: penalty events per break kind (per 1000 breaks, 16K direct)",
-        &["program", "engine", "mf:cond", "mf:other", "mp:cond", "mp:indirect", "mp:ret"],
-    );
-    for p in BenchProfile::all() {
-        for r in results.iter().filter(|r| r.bench == p.name) {
-            let per_mille = |n: u64| 1000.0 * n as f64 / r.breaks as f64;
-            let cond = r.kind_counts(BreakKind::Conditional);
-            let ij = r.kind_counts(BreakKind::IndirectJump);
-            let ret = r.kind_counts(BreakKind::Return);
-            let other_mf = r.misfetches - cond.misfetches;
-            t.row(vec![
-                p.name.into(),
-                r.engine.clone(),
-                fmt(per_mille(cond.misfetches), 1),
-                fmt(per_mille(other_mf), 1),
-                fmt(per_mille(cond.mispredicts), 1),
-                fmt(per_mille(ij.mispredicts), 1),
-                fmt(per_mille(ret.mispredicts), 1),
-            ]);
-        }
-    }
-    t.print();
-
-    // Verify the two §7 statements quantitatively.
-    println!("\nchecks:");
-    let mut max_cond_mp_spread = (0.0f64, "");
-    let mut max_ij_mp_spread = (0.0f64, "");
-    for p in BenchProfile::all() {
-        let per: Vec<_> = results.iter().filter(|r| r.bench == p.name).collect();
-        let rate = |f: &dyn Fn(&&&nls_core::SimResult) -> u64| -> (f64, f64) {
-            let v: Vec<f64> =
-                per.iter().map(|r| f(&r) as f64 / r.breaks as f64 * 100.0).collect();
-            (
-                v.iter().cloned().fold(f64::INFINITY, f64::min),
-                v.iter().cloned().fold(0.0, f64::max),
-            )
-        };
-        let (lo, hi) = rate(&|r| r.kind_counts(BreakKind::Conditional).mispredicts);
-        if hi - lo > max_cond_mp_spread.0 {
-            max_cond_mp_spread = (hi - lo, p.name);
-        }
-        let (lo, hi) = rate(&|r| r.kind_counts(BreakKind::IndirectJump).mispredicts);
-        if hi - lo > max_ij_mp_spread.0 {
-            max_ij_mp_spread = (hi - lo, p.name);
-        }
-    }
-    println!(
-        "  conditional-mispredict spread across engines: max {:.3} pp ({}) — the shared",
-        max_cond_mp_spread.0, max_cond_mp_spread.1
-    );
-    println!("  PHT makes direction mispredicts engine-invariant, as the paper isolates;");
-    println!(
-        "  indirect-jump mispredict spread: max {:.3} pp ({}) — the only mispredict",
-        max_ij_mp_spread.0, max_ij_mp_spread.1
-    );
-    println!("  component that varies across architectures, as §7 states.");
-    let path = t.save("attribution");
-    println!("\nwrote {}", path.display());
+    nls_bench::stage_main(nls_bench::ablations::ATTRIBUTION);
 }

@@ -1,42 +1,5 @@
 //! Extension: fall-through set-field accuracy (§4.2, approach 2).
-//!
-//! The paper's elegant associative-cache scheme gives every cache
-//! line a set field predicting the way of its fall-through line, so
-//! a single way is driven on each access and the cache runs at
-//! direct-mapped speed. The scheme is viable only if the prediction
-//! is nearly always right; this experiment measures its accuracy on
-//! sequential line crossings for 2-way and 4-way caches.
-
-use nls_bench::{fmt, sweep_config, Table};
-use nls_core::fallthrough_way_prediction;
-use nls_icache::CacheConfig;
-use nls_trace::{synthesize, BenchProfile, GenConfig, Walker};
 
 fn main() {
-    let cfg = sweep_config();
-    let mut t = Table::new(
-        "Extension: fall-through way-prediction accuracy (16K cache)",
-        &["program", "assoc", "line crossings", "mispredicts", "accuracy %"],
-    );
-    for p in BenchProfile::all() {
-        let program = synthesize(&p, &GenConfig::for_profile(&p));
-        for assoc in [2u32, 4] {
-            let trace = Walker::new(&program, cfg.seed).take(cfg.trace_len);
-            let stats = fallthrough_way_prediction(trace, CacheConfig::paper(16, assoc));
-            t.row(vec![
-                p.name.into(),
-                format!("{assoc}-way"),
-                stats.line_crossings.to_string(),
-                stats.mispredicts.to_string(),
-                fmt(100.0 * stats.accuracy(), 2),
-            ]);
-        }
-    }
-    t.print();
-    println!("\nexpected: accuracy tracks cache residency — ~98-99% on the");
-    println!("low-miss-rate programs and lower where refills keep clearing the");
-    println!("fields (gcc). For two-way caches the paper's fallback — probe the");
-    println!("one remaining way — bounds every mispredict at a single bubble.");
-    let path = t.save("ext_set_prediction");
-    println!("\nwrote {}", path.display());
+    nls_bench::stage_main(nls_bench::extensions::EXT_SET_PREDICTION);
 }

@@ -1,79 +1,5 @@
 //! Figure 3: register-bit-equivalent costs.
-//!
-//! RBE implementation costs of the NLS-cache and the 512/1024/2048
-//! NLS-tables at 8–64 KB instruction caches, and of 128/256-entry
-//! BTBs at associativities 1, 2 and 4 (which do not depend on the
-//! instruction cache).
-
-use nls_bench::{fmt, Table};
-use nls_cost::rbe::{btb_rbe, nls_cache_rbe, nls_table_rbe, CacheGeometry};
 
 fn main() {
-    let mut t = Table::new(
-        "Figure 3: RBE costs of NLS and BTB structures",
-        &["structure", "cache", "RBE"],
-    );
-
-    for kb in [8u64, 16, 32, 64] {
-        let cache = CacheGeometry::paper(kb, 1);
-        t.row(vec![
-            "NLS cache (2/line)".into(),
-            format!("{kb}K"),
-            fmt(nls_cache_rbe(2, cache), 0),
-        ]);
-    }
-    for entries in [512u64, 1024, 2048] {
-        for kb in [8u64, 16, 32, 64] {
-            let cache = CacheGeometry::paper(kb, 1);
-            t.row(vec![
-                format!("{entries} NLS table"),
-                format!("{kb}K"),
-                fmt(nls_table_rbe(entries, cache), 0),
-            ]);
-        }
-    }
-    for entries in [128u64, 256] {
-        for assoc in [1u32, 2, 4] {
-            t.row(vec![
-                format!("{entries} BTB {assoc}-way"),
-                "-".into(),
-                fmt(btb_rbe(entries, assoc), 0),
-            ]);
-        }
-    }
-
-    t.print();
-    println!("\nequal-cost pairings the paper relies on:");
-    let pair = |a: f64, b: f64| a / b;
-    println!(
-        "  NLS-cache(8K)  / 512-table(8K)   = {:.2}",
-        pair(
-            nls_cache_rbe(2, CacheGeometry::paper(8, 1)),
-            nls_table_rbe(512, CacheGeometry::paper(8, 1))
-        )
-    );
-    println!(
-        "  NLS-cache(16K) / 1024-table(16K) = {:.2}",
-        pair(
-            nls_cache_rbe(2, CacheGeometry::paper(16, 1)),
-            nls_table_rbe(1024, CacheGeometry::paper(16, 1))
-        )
-    );
-    println!(
-        "  NLS-cache(32K) / 2048-table(32K) = {:.2}",
-        pair(
-            nls_cache_rbe(2, CacheGeometry::paper(32, 1)),
-            nls_table_rbe(2048, CacheGeometry::paper(32, 1))
-        )
-    );
-    println!(
-        "  128-BTB / 1024-table(16K)        = {:.2}",
-        pair(btb_rbe(128, 1), nls_table_rbe(1024, CacheGeometry::paper(16, 1)))
-    );
-    println!(
-        "  256-BTB / 1024-table(16K)        = {:.2}",
-        pair(btb_rbe(256, 1), nls_table_rbe(1024, CacheGeometry::paper(16, 1)))
-    );
-    let path = t.save("fig3_rbe");
-    println!("\nwrote {}", path.display());
+    nls_bench::stage_main(nls_bench::figures::FIG3_RBE);
 }

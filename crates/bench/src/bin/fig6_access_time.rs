@@ -1,43 +1,5 @@
 //! Figure 6: BTB access time versus associativity.
-//!
-//! CACTI-style access-time estimates for 128- and 256-entry BTBs at
-//! associativities 1, 2 and 4. The paper's point is relative: 4-way
-//! structures are 30–40 % slower than direct-mapped ones. The
-//! tag-less NLS-table is also shown (the paper argues it should be
-//! similar to a direct-mapped BTB).
-
-use nls_bench::{fmt, Table};
-use nls_cost::access_time::{btb_access_ns, tagless_access_ns, TimingProcess};
-use nls_cost::rbe::{nls_entry_bits, CacheGeometry};
 
 fn main() {
-    let p = TimingProcess::default();
-    let mut t = Table::new(
-        "Figure 6: access time (ns) for BTB organisations",
-        &["structure", "direct", "2-way", "4-way", "4-way/direct"],
-    );
-    for entries in [128u64, 256] {
-        let dm = btb_access_ns(entries, 1, &p);
-        let w2 = btb_access_ns(entries, 2, &p);
-        let w4 = btb_access_ns(entries, 4, &p);
-        t.row(vec![
-            format!("{entries} entry BTB"),
-            fmt(dm, 2),
-            fmt(w2, 2),
-            fmt(w4, 2),
-            fmt(w4 / dm, 2),
-        ]);
-    }
-    let bits = nls_entry_bits(CacheGeometry::paper(16, 1));
-    let nls = tagless_access_ns(1024, bits, &p);
-    t.row(vec![
-        "1024 NLS table (tag-less)".into(),
-        fmt(nls, 2),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ]);
-    t.print();
-    let path = t.save("fig6_access_time");
-    println!("\nwrote {}", path.display());
+    nls_bench::stage_main(nls_bench::figures::FIG6_ACCESS_TIME);
 }

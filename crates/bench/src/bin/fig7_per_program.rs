@@ -1,65 +1,5 @@
 //! Figure 7: per-program BEP comparison of NLS and BTB.
-//!
-//! For each of the six programs: the four BTB configurations (shown
-//! once — their BEP does not vary with the instruction cache) and
-//! the 1024-entry NLS-table at all six cache configurations, each
-//! split into misfetch and mispredict parts.
-
-use nls_bench::{fmt, sweep_config, Table};
-use nls_core::{cross, paper_caches, run_sweep, EngineSpec, PenaltyModel};
-use nls_icache::CacheConfig;
-use nls_trace::BenchProfile;
 
 fn main() {
-    let cfg = sweep_config();
-    let m = PenaltyModel::paper();
-    let mut t = Table::new(
-        "Figure 7: per-program BEP, BTBs vs 1024 NLS-table",
-        &["program", "engine", "cache", "BEP", "misfetch part", "mispredict part"],
-    );
-
-    let btb_specs = [
-        EngineSpec::btb(128, 1),
-        EngineSpec::btb(128, 4),
-        EngineSpec::btb(256, 1),
-        EngineSpec::btb(256, 4),
-    ];
-    let btb_runs = cross(&BenchProfile::all(), &[CacheConfig::paper(8, 1)], &btb_specs);
-    let btb_results = run_sweep(&btb_runs, &cfg);
-
-    let nls_runs = cross(&BenchProfile::all(), &paper_caches(), &[EngineSpec::nls_table(1024)]);
-    let nls_results = run_sweep(&nls_runs, &cfg);
-
-    for p in BenchProfile::all() {
-        for r in btb_results.iter().filter(|r| r.bench == p.name) {
-            let (mf, mp) = r.bep_split(&m);
-            t.row(vec![
-                p.name.into(),
-                r.engine.clone(),
-                "(any)".into(),
-                fmt(r.bep(&m), 3),
-                fmt(mf, 3),
-                fmt(mp, 3),
-            ]);
-        }
-        for r in nls_results.iter().filter(|r| r.bench == p.name) {
-            let (mf, mp) = r.bep_split(&m);
-            t.row(vec![
-                p.name.into(),
-                r.engine.clone(),
-                r.cache.clone(),
-                fmt(r.bep(&m), 3),
-                fmt(mf, 3),
-                fmt(mp, 3),
-            ]);
-        }
-    }
-
-    t.print();
-    println!("\npaper claims to check:");
-    println!("  - NLS BEP falls as the cache grows or gains associativity; BTB BEP is flat");
-    println!("  - NLS wins clearly on the branch-heavy programs (gcc, cfront, groff)");
-    println!("  - NLS and BTB are comparable on doduc and espresso");
-    let path = t.save("fig7_per_program");
-    println!("\nwrote {}", path.display());
+    nls_bench::stage_main(nls_bench::figures::FIG7_PER_PROGRAM);
 }

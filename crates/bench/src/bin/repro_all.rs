@@ -1,6 +1,6 @@
-//! Runs the complete reproduction: Table 1, Figures 3–8 and all
-//! ablations, writing every CSV into `results/` and printing a
-//! claim-by-claim verdict summary at the end.
+//! Runs the complete reproduction in one process: Table 1, Figures
+//! 3–8 and all ablations and extensions, writing every CSV into
+//! `results/` and printing a claim-by-claim verdict summary at the end.
 //!
 //! ```text
 //! cargo run --release -p nls-bench --bin repro_all
@@ -8,151 +8,105 @@
 //! NLS_TRACE_LEN=2_000_000 cargo run --release -p nls-bench --bin repro_all  # faster
 //! ```
 //!
-//! The pipeline is fault tolerant and supervised: every figure
-//! binary runs under a watchdog (`NLS_BENCH_TIMEOUT_SECS`, default
-//! 600 s) and is retried with backoff before being skipped, with the
-//! full attempt history in the pass/fail summary table at the end
-//! (exit code 4 if any stage was skipped after its retries). The
-//! verdict sweep is durable: its threads publish each completed
-//! (benchmark × cache × engine) cell to the work ledger
-//! `results/repro_ledger.json`; pass `--resume` to continue that
-//! ledger after an interruption instead of recomputing its cells
-//! (without it the ledger starts fresh, and a clean run deletes it).
-//! SIGINT/SIGTERM stops the pipeline cooperatively — the in-flight
-//! stage is killed, the sweep's cells in flight are released to the
-//! ledger — and exits with code 7.
+//! The runs of every grid stage ([`Experiment::Grid`]) are simulated once,
+//! each distinct run key once, in one supervised sweep whose threads
+//! publish every completed cell to the work ledger
+//! `results/repro_ledger.json`; every grid stage and the verdicts are
+//! rendered from those results, and the other stages simulate on their
+//! own. A stage that panics, or needs a grid cell that failed, is
+//! FAILED in the summary table, the rest still run, and the exit code
+//! is 4. SIGINT/SIGTERM during the sweep releases its cells in flight
+//! to the ledger and exits 7, and `--resume` continues the ledger
+//! (without it the ledger starts fresh, and a clean run deletes it); a
+//! signal during a later stage stops the pipeline at the next stage
+//! boundary, also with exit 7. A ledger error exits 8.
 
-use std::process::Command;
-use std::time::{Duration, Instant};
+use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use nls_bench::{fmt, ledger_path, parse_timeout_secs, sweep_config, Table};
+use nls_bench::{ablations, extensions, figures, ledger_path, sweep_config, Experiment, Table};
 use nls_core::{
-    average, cross, install_signal_token, paper_caches, run_sweep_supervised, Budget,
-    CancelToken, EngineSpec, Ledger, LedgerFile, NlsError, PenaltyModel, RunError, RunSpec,
-    SimResult, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
+    install_signal_token, run_sweep_supervised, Budget, Ledger, LedgerFile, NlsError, RunError,
+    RunSpec, SimResult, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
 };
-use nls_icache::CacheConfig;
-use nls_trace::BenchProfile;
 
-/// Retry ceiling per stage binary: one initial try plus two retries.
-const MAX_ATTEMPTS: u64 = 3;
+/// Every stage, in the order the pipeline runs and prints them.
+const STAGES: [(&str, Experiment); 18] = [
+    ("table1", figures::TABLE1),
+    ("fig3_rbe", figures::FIG3_RBE),
+    ("fig4_nls_bep", figures::FIG4_NLS_BEP),
+    ("fig5_btb_bep", figures::FIG5_BTB_BEP),
+    ("fig6_access_time", figures::FIG6_ACCESS_TIME),
+    ("fig7_per_program", figures::FIG7_PER_PROGRAM),
+    ("fig8_cpi", figures::FIG8_CPI),
+    ("attribution", ablations::ATTRIBUTION),
+    ("ablation_johnson", ablations::ABLATION_JOHNSON),
+    ("ablation_pht", ablations::ABLATION_PHT),
+    ("ablation_nls_cache_layout", ablations::ABLATION_NLS_CACHE_LAYOUT),
+    ("ablation_btb_policy", ablations::ABLATION_BTB_POLICY),
+    ("ablation_trace_len", ablations::ABLATION_TRACE_LEN),
+    ("ablation_penalties", ablations::ABLATION_PENALTIES),
+    ("ext_code_layout", extensions::EXT_CODE_LAYOUT),
+    ("ext_wide_issue", extensions::EXT_WIDE_ISSUE),
+    ("ext_type_predictor", extensions::EXT_TYPE_PREDICTOR),
+    ("ext_set_prediction", extensions::EXT_SET_PREDICTION),
+];
 
-/// The per-stage watchdog limit, from `NLS_BENCH_TIMEOUT_SECS`
-/// (default 600 s — generous for a release-mode figure, short enough
-/// that a hung stage cannot stall the pipeline overnight).
-/// Validated strictly, once, before any stage runs: a set-but-broken
-/// value (non-numeric, zero) is a usage error, not a silent fallback
-/// to the default.
-fn stage_timeout() -> Result<Duration, String> {
-    let raw = std::env::var("NLS_BENCH_TIMEOUT_SECS").ok();
-    parse_timeout_secs(raw.as_deref(), 600).map(Duration::from_secs)
-}
-
-/// One try at a stage binary, as the watchdog saw it end.
-enum Attempt {
-    Ok,
-    Failed(String),
-    TimedOut(u64),
-    Cancelled,
-}
-
-/// Spawns a sibling experiment binary under the watchdog: polls for
-/// exit, kills the child when the timeout trips or a signal asked
-/// the pipeline to stop.
-fn run_binary_once(name: &str, token: &CancelToken, timeout: Duration) -> Attempt {
-    println!("\n################ {name} ################\n");
-    let mut child = match Command::new(env!("CARGO"))
-        .args(["run", "--release", "-q", "-p", "nls-bench", "--bin", name])
-        .spawn()
-    {
-        Ok(child) => child,
-        Err(e) => return Attempt::Failed(format!("failed to spawn: {e}")),
-    };
-    let started = Instant::now();
-    loop {
-        match child.try_wait() {
-            Ok(Some(status)) if status.success() => return Attempt::Ok,
-            Ok(Some(status)) => return Attempt::Failed(format!("exited with {status}")),
-            Ok(None) => {}
-            Err(e) => return Attempt::Failed(format!("could not poll: {e}")),
-        }
-        if token.is_cancelled() {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Attempt::Cancelled;
-        }
-        if started.elapsed() >= timeout {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Attempt::TimedOut(timeout.as_secs());
-        }
-        std::thread::sleep(Duration::from_millis(50));
+/// The runs of a grid stage; none for a stage that simulates alone.
+fn grid_runs(stage: &Experiment) -> Vec<RunSpec> {
+    match stage {
+        Experiment::Grid(runs, _) => runs(),
+        Experiment::Alone(_) => Vec::new(),
     }
 }
 
-/// A stage after the watchdog and the retry policy had their say.
-struct Stage {
-    ok: bool,
-    cancelled: bool,
-    /// The attempt/backoff history, for the summary table.
-    history: String,
+/// The runs of every grid stage, each run key once, in listed order.
+fn grid() -> Vec<RunSpec> {
+    let mut seen = BTreeSet::new();
+    STAGES
+        .iter()
+        .flat_map(|(_, stage)| grid_runs(stage))
+        .filter(|r| seen.insert(r.key()))
+        .collect()
 }
 
-/// Runs one stage with bounded retry and linear backoff, recording
-/// every attempt so the summary can show *how* a stage passed or why
-/// it was skipped.
-fn run_stage(name: &str, token: &CancelToken, timeout: Duration) -> Stage {
-    let mut history: Vec<String> = Vec::new();
-    for attempt in 1..=MAX_ATTEMPTS {
-        match run_binary_once(name, token, timeout) {
-            Attempt::Ok => {
-                history.push(format!("attempt {attempt}: ok"));
-                return Stage { ok: true, cancelled: false, history: history.join("; ") };
-            }
-            Attempt::Cancelled => {
-                history.push(format!("attempt {attempt}: interrupted by signal"));
-                return Stage { ok: false, cancelled: true, history: history.join("; ") };
-            }
-            Attempt::Failed(e) => history.push(format!("attempt {attempt}: {e}")),
-            Attempt::TimedOut(secs) => {
-                history.push(format!("attempt {attempt}: killed by the {secs}s watchdog"));
-            }
-        }
-        if attempt < MAX_ATTEMPTS {
-            let backoff = Duration::from_secs(attempt);
-            eprintln!(
-                "error[run]: {name}: {}; retrying in {}s",
-                history.last().map(String::as_str).unwrap_or("failed"),
-                backoff.as_secs()
-            );
-            std::thread::sleep(backoff);
-            history.push(format!("backed off {}s", backoff.as_secs()));
-            if token.is_cancelled() {
-                history.push("interrupted by signal".into());
-                return Stage { ok: false, cancelled: true, history: history.join("; ") };
-            }
+/// The grid sweep's outcomes by run key.
+type Cells = BTreeMap<String, Result<Vec<SimResult>, RunError>>;
+
+/// The results of `runs`, in their order, from the grid's cells; `Err`
+/// names the first run that did not complete.
+fn rows(runs: &[RunSpec], cells: &Cells) -> Result<Vec<SimResult>, String> {
+    let mut rows = Vec::new();
+    for run in runs {
+        match cells.get(&run.key()) {
+            Some(Ok(results)) => rows.extend_from_slice(results),
+            Some(Err(e)) => return Err(format!("needs a grid cell that failed: {e}")),
+            None => return Err(format!("needs {}, which is not in the grid", run.key())),
         }
     }
-    history.push("skipped".into());
-    Stage { ok: false, cancelled: false, history: history.join("; ") }
+    Ok(rows)
 }
 
-/// Prints the interruption diagnostic and exits with code 7, the
-/// same contract as `nls sweep` (completed work is preserved; rerun
-/// with `--resume` to continue).
-fn exit_interrupted(summary: &Table, detail: &str) -> ! {
-    println!();
-    summary.print();
-    let e = NlsError::Interrupted(format!(
-        "reproduction stopped by signal; {detail} — rerun with --resume to continue"
-    ));
+/// Runs one stage's work under `catch_unwind`: `Err` is its panic.
+fn guarded(work: impl FnOnce()) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(work)).map_err(|payload| {
+        let message = match payload.downcast_ref::<&str>() {
+            Some(s) => s.to_string(),
+            None => payload.downcast_ref::<String>().cloned().unwrap_or_default(),
+        };
+        format!("panicked: {message}")
+    })
+}
+
+/// Prints `summary`, unless it is empty, and `e`, and exits with
+/// `e`'s code.
+fn exit_with(summary: &Table, e: &NlsError) -> ! {
+    if !summary.is_empty() {
+        println!();
+        summary.print();
+    }
     eprintln!("error[{}]: {e}", e.class());
     std::process::exit(i32::from(e.exit_code()));
-}
-
-/// `Some((a, b))` only when both averages are available.
-fn both(a: Option<f64>, b: Option<f64>) -> Option<(f64, f64)> {
-    Some((a?, b?))
 }
 
 fn main() {
@@ -168,214 +122,80 @@ fn main() {
             }
         }
     }
-
-    let timeout = match stage_timeout() {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("error[usage]: {msg}");
-            std::process::exit(2);
-        }
-    };
-
-    let token = install_signal_token();
-    let mut summary = Table::new("Reproduction pipeline", &["stage", "status", "history"]);
-    let mut failures: Vec<String> = Vec::new();
-    for bin in [
-        "table1",
-        "fig3_rbe",
-        "fig4_nls_bep",
-        "fig5_btb_bep",
-        "fig6_access_time",
-        "fig7_per_program",
-        "fig8_cpi",
-        "attribution",
-        "ablation_johnson",
-        "ablation_pht",
-        "ablation_nls_cache_layout",
-        "ablation_btb_policy",
-        "ablation_trace_len",
-        "ablation_penalties",
-        "ext_code_layout",
-        "ext_wide_issue",
-        "ext_type_predictor",
-        "ext_set_prediction",
-    ] {
-        let stage = run_stage(bin, &token, timeout);
-        if stage.ok {
-            summary.row(vec![bin.into(), "ok".into(), stage.history]);
-        } else if stage.cancelled {
-            summary.row(vec![bin.into(), "INTERRUPTED".into(), stage.history]);
-            exit_interrupted(&summary, "the figure stages before this one are complete");
-        } else {
-            eprintln!(
-                "error[run]: {bin}: skipped after {MAX_ATTEMPTS} attempts; continuing with \
-                 the remaining figures"
-            );
-            summary.row(vec![bin.into(), "SKIPPED".into(), stage.history.clone()]);
-            failures.push(format!("{bin}: {}", stage.history));
-        }
-    }
-
-    // Claim-by-claim verdicts on the headline comparison. Each
-    // (benchmark × cache × engine) cell is its own run so the
-    // ledger can resume at single-cell granularity.
-    println!("\n################ verdicts ################\n");
     let cfg = sweep_config();
-    let m = PenaltyModel::paper();
-    let engines = [
-        EngineSpec::btb(128, 1),
-        EngineSpec::btb(256, 4),
-        EngineSpec::nls_table(1024),
-        EngineSpec::nls_cache(2),
-    ];
-    let mut runs: Vec<RunSpec> = Vec::new();
-    for e in &engines {
-        runs.extend(cross(&BenchProfile::all(), &paper_caches(), std::slice::from_ref(e)));
-    }
+    let token = install_signal_token();
+    let mut summary = Table::new("Reproduction pipeline", &["stage", "status", "detail"]);
 
+    let runs = grid();
+    println!("\n################ grid sweep: {} distinct runs ################\n", runs.len());
     let path = ledger_path();
     if !resume {
         let _ = std::fs::remove_file(&path);
     }
     let file = LedgerFile::new(&path);
-    let fresh = Ledger::new(
-        &cfg,
-        DEFAULT_LEASE_MS,
-        DEFAULT_MAX_ATTEMPTS,
-        runs.iter().map(RunSpec::key),
-    );
+    let keys = runs.iter().map(RunSpec::key);
+    let fresh = Ledger::new(&cfg, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS, keys);
     let budget = Budget::unlimited().with_cancel(token.clone());
     let sweep = file
         .init(fresh, resume)
         .and_then(|_| run_sweep_supervised(&runs, &cfg, &budget, Some(&file)));
-    let outcomes = match sweep {
-        Ok(outcomes) => outcomes,
-        Err(e) => {
-            eprintln!("error[{}]: {e}", e.class());
-            std::process::exit(i32::from(e.exit_code()));
-        }
-    };
-    let mut results: Vec<SimResult> = Vec::new();
-    let mut sweep_failures = 0usize;
-    let mut interrupted = 0usize;
-    for (run, outcome) in runs.iter().zip(outcomes) {
-        match outcome {
-            // A sweep's outcomes are complete: a run a budget cut
-            // short merges as interrupted.
-            Ok(cell) => results.extend(cell),
-            Err(RunError::Interrupted { .. }) => interrupted += 1,
+    let outcomes = sweep.unwrap_or_else(|e| exit_with(&summary, &e));
+    let done = outcomes.iter().filter(|o| o.is_ok()).count();
+    let stopped = outcomes.iter().any(|o| matches!(o, Err(RunError::Interrupted { .. })));
+    let grid_detail = format!("{done} of {} distinct runs", runs.len());
+    if stopped || token.is_cancelled() {
+        summary.row(vec!["grid sweep".into(), "INTERRUPTED".into(), grid_detail]);
+        let e = NlsError::Interrupted(format!(
+            "reproduction stopped by signal; completed grid cells are in the ledger at {} — \
+             rerun with --resume to continue",
+            path.display()
+        ));
+        exit_with(&summary, &e);
+    }
+    let grid_status = if done == runs.len() { "ok" } else { "FAILED" };
+    summary.row(vec!["grid sweep".into(), grid_status.into(), grid_detail]);
+    let cells: Cells = runs.iter().map(RunSpec::key).zip(outcomes).collect();
+
+    let mut failures: Vec<String> = Vec::new();
+    let mut record = |summary: &mut Table, name: &str, outcome: Result<(), String>| {
+        let (status, detail) = match outcome {
+            Ok(()) => ("ok", String::new()),
             Err(e) => {
-                eprintln!("error[run]: {e}; verdicts will exclude {}", run.key());
-                failures.push(format!("verdict sweep: {}", run.key()));
-                sweep_failures += 1;
+                eprintln!("error[run]: {name}: {e}; continuing with the remaining stages");
+                failures.push(format!("{name}: {e}"));
+                ("FAILED", e)
             }
-        }
-    }
-    if interrupted > 0 || token.is_cancelled() {
-        summary.row(vec![
-            "verdict sweep".into(),
-            "INTERRUPTED".into(),
-            format!("{} of {} runs done", runs.len() - interrupted, runs.len()),
-        ]);
-        exit_interrupted(
-            &summary,
-            &format!("completed sweep cells are in the ledger at {}", path.display()),
-        );
-    }
-    summary.row(vec![
-        "verdict sweep".into(),
-        if sweep_failures == 0 {
-            "ok".into()
-        } else {
-            format!("FAILED ({sweep_failures} of {} runs)", runs.len())
-        },
-        format!("{} of {} runs", runs.len() - sweep_failures, runs.len()),
-    ]);
-
-    let avg_bep = |engine: &str, cache: CacheConfig| -> Option<f64> {
-        let per: Vec<_> = results
-            .iter()
-            .filter(|r| r.engine == engine && r.cache == cache.label())
-            .cloned()
-            .collect();
-        if per.is_empty() {
-            None
-        } else {
-            Some(average(&per).bep(&m))
-        }
+        };
+        summary.row(vec![name.into(), status.into(), detail]);
     };
+    for (name, stage) in STAGES {
+        if token.is_cancelled() {
+            summary.row(vec![name.into(), "INTERRUPTED".into(), "not started".into()]);
+            let e = NlsError::Interrupted(format!(
+                "reproduction stopped by signal before {name}; the stages before it are \
+                 complete — rerun with --resume to continue"
+            ));
+            exit_with(&summary, &e);
+        }
+        println!("\n################ {name} ################\n");
+        let outcome = match stage {
+            Experiment::Grid(runs, render) => {
+                rows(&runs(), &cells).and_then(|rows| guarded(|| render(&rows).emit()))
+            }
+            Experiment::Alone(alone) => guarded(|| alone(&cfg).emit()),
+        };
+        record(&mut summary, name, outcome);
+    }
 
-    let mut verdicts =
-        Table::new("Paper claims vs this reproduction", &["claim", "verdict", "evidence"]);
-    let mut claim = |title: &str, outcome: Option<(String, String)>| {
-        let (verdict, evidence) = outcome
-            .unwrap_or_else(|| ("NO DATA".into(), "failed runs excluded (see stderr)".into()));
-        verdicts.row(vec![title.into(), verdict, evidence]);
-    };
-    let c16 = CacheConfig::paper(16, 1);
-    let c8 = CacheConfig::paper(8, 1);
-    let c32 = CacheConfig::paper(32, 4);
-
-    let nls16 = avg_bep("1024 NLS table", c16);
-    let btb128 = avg_bep("128 direct BTB", c16);
-    claim(
-        "1024 NLS-table beats equal-cost 128 direct BTB",
-        both(nls16, btb128).map(|(n, b)| {
-            (
-                if n < b { "HOLDS" } else { "FAILS" }.into(),
-                format!("BEP {} vs {}", fmt(n, 3), fmt(b, 3)),
-            )
-        }),
-    );
-
-    let btb256 = avg_bep("256 4-way BTB", c16);
-    claim(
-        "1024 NLS-table ~ 256 4-way BTB at half the cost",
-        both(nls16, btb256).map(|(n, b)| {
-            (
-                if (n - b).abs() / b < 0.12 { "HOLDS" } else { "CHECK" }.into(),
-                format!("BEP {} vs {}", fmt(n, 3), fmt(b, 3)),
-            )
-        }),
-    );
-
-    let cache16 = avg_bep("NLS cache (2/line)", c16);
-    claim(
-        "NLS-table beats equal-cost NLS-cache",
-        both(nls16, cache16).map(|(n, c)| {
-            (
-                if n < c { "HOLDS" } else { "FAILS" }.into(),
-                format!("BEP {} vs {}", fmt(n, 3), fmt(c, 3)),
-            )
-        }),
-    );
-
-    let nls8 = avg_bep("1024 NLS table", c8);
-    let nls32 = avg_bep("1024 NLS table", c32);
-    claim(
-        "NLS BEP falls with cache size/associativity",
-        both(nls8, nls32).map(|(n8, n32)| {
-            (
-                if n32 < n8 { "HOLDS" } else { "FAILS" }.into(),
-                format!("BEP 8K-direct {} -> 32K-4way {}", fmt(n8, 3), fmt(n32, 3)),
-            )
-        }),
-    );
-
-    let btb128_8 = avg_bep("128 direct BTB", c8);
-    let btb128_32 = avg_bep("128 direct BTB", c32);
-    claim(
-        "BTB BEP is insensitive to the cache",
-        both(btb128_8, btb128_32).map(|(b8, b32)| {
-            (
-                if (b8 - b32).abs() < 0.02 { "HOLDS" } else { "FAILS" }.into(),
-                format!("BEP {} vs {}", fmt(b8, 3), fmt(b32, 3)),
-            )
-        }),
-    );
-
-    verdicts.print();
-    verdicts.save("verdicts");
+    // Claim-by-claim verdicts on the headline comparison, from Figure
+    // 4's and Figure 8's rows.
+    println!("\n################ verdicts ################\n");
+    let fig4 = rows(&grid_runs(&figures::FIG4_NLS_BEP), &cells);
+    let fig8 = rows(&grid_runs(&figures::FIG8_CPI), &cells);
+    let outcome = fig4.and_then(|fig4| {
+        fig8.and_then(|fig8| guarded(|| figures::verdicts(&fig4, &fig8).emit()))
+    });
+    record(&mut summary, "verdicts", outcome);
 
     println!();
     summary.print();
@@ -384,11 +204,69 @@ fn main() {
         let _ = std::fs::remove_file(&path);
         println!("\nall results written under results/");
     } else {
-        eprintln!("\n{} stage(s) skipped after retries:", failures.len());
+        eprintln!("\n{} stage(s) failed:", failures.len());
         for f in &failures {
             eprintln!("  - {f}");
         }
-        eprintln!("rerun with --resume to skip completed sweep cells");
+        eprintln!("rerun with --resume to skip completed grid cells");
         std::process::exit(4);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nls_core::{cross, paper_caches, run_sweep, EngineSpec, SweepConfig};
+    use nls_trace::BenchProfile;
+
+    /// Short traces, the default seed.
+    const CFG: SweepConfig = SweepConfig { trace_len: 2_000, seed: 0x0b5e_55ed };
+
+    fn csvs(report: &nls_bench::Report) -> Vec<(&str, String)> {
+        report.tables.iter().map(|(name, table)| (*name, table.to_csv())).collect()
+    }
+
+    #[test]
+    fn the_grid_holds_every_grid_stages_runs_once() {
+        let listed: Vec<RunSpec> = STAGES.iter().flat_map(|(_, s)| grid_runs(s)).collect();
+        assert_eq!(listed.len(), 198);
+        let grid = grid();
+        let keys: BTreeSet<String> = grid.iter().map(RunSpec::key).collect();
+        assert_eq!((grid.len(), keys.len()), (150, 150), "each key once");
+        assert!(listed.iter().all(|run| keys.contains(&run.key())));
+    }
+
+    #[test]
+    fn every_stage_renders_from_the_grid_as_from_its_own_sweep() {
+        let runs = grid();
+        let outcomes = run_sweep_supervised(&runs, &CFG, &Budget::unlimited(), None);
+        let cells: Cells = runs.iter().map(RunSpec::key).zip(outcomes.unwrap()).collect();
+        for (name, stage) in STAGES {
+            if let Experiment::Grid(runs, render) = stage {
+                let from_grid = render(&rows(&runs(), &cells).unwrap());
+                assert_eq!(csvs(&from_grid), csvs(&stage.report(&CFG)), "{name}");
+            }
+        }
+
+        // The verdicts equal those of one single-engine run per
+        // (engine, benchmark, cache), each engine's six programs
+        // averaged in program order.
+        let fig4 = rows(&grid_runs(&figures::FIG4_NLS_BEP), &cells).unwrap();
+        let fig8 = rows(&grid_runs(&figures::FIG8_CPI), &cells).unwrap();
+        let single: Vec<RunSpec> = [
+            EngineSpec::btb(128, 1),
+            EngineSpec::btb(256, 4),
+            EngineSpec::nls_table(1024),
+            EngineSpec::nls_cache(2),
+        ]
+        .iter()
+        .flat_map(|e| cross(&BenchProfile::all(), &paper_caches(), std::slice::from_ref(e)))
+        .collect();
+        assert_eq!(single.len(), 144);
+        let single = run_sweep(&single, &CFG);
+        assert_eq!(
+            csvs(&figures::verdicts(&fig4, &fig8)),
+            csvs(&figures::verdicts(&single, &single))
+        );
     }
 }

@@ -1,101 +1,5 @@
 //! Table 1: measured attributes of the traced programs.
-//!
-//! Regenerates every column of the paper's Table 1 from the
-//! synthetic workloads and prints it next to the paper's values so
-//! the calibration can be judged directly.
-
-use nls_bench::{fmt, sweep_config, Table};
-use nls_icache::{CacheConfig, InstructionCache};
-use nls_trace::{synthesize, BenchProfile, GenConfig, TraceStats, Walker};
 
 fn main() {
-    let cfg = sweep_config();
-    let mut measured = Table::new(
-        "Table 1 (measured): attributes of the synthetic traces",
-        &[
-            "program", "insns", "%breaks", "Q-50", "Q-90", "Q-99", "Q-100", "static", "%taken",
-            "%CBr", "%IJ", "%Br", "%Call", "%Ret",
-        ],
-    );
-    let mut paper = Table::new(
-        "Table 1 (paper): attributes of the traced programs",
-        &[
-            "program", "%breaks", "Q-50", "Q-90", "Q-99", "Q-100", "static", "%taken", "%CBr",
-            "%IJ", "%Br", "%Call", "%Ret",
-        ],
-    );
-
-    for p in BenchProfile::all() {
-        let gen_cfg = GenConfig::for_profile(&p);
-        let program = synthesize(&p, &gen_cfg);
-        let mut w = Walker::new(&program, cfg.seed);
-        let s = TraceStats::from_trace(w.by_ref().take(cfg.trace_len));
-        let m = s.mix_percent();
-        measured.row(vec![
-            p.name.to_string(),
-            s.instructions.to_string(),
-            fmt(s.pct_breaks(), 2),
-            s.quantile(0.50).to_string(),
-            s.quantile(0.90).to_string(),
-            s.quantile(0.99).to_string(),
-            s.q100().to_string(),
-            program.static_cond_sites().to_string(),
-            fmt(s.pct_taken(), 2),
-            fmt(m[0], 2),
-            fmt(m[1], 2),
-            fmt(m[2], 2),
-            fmt(m[3], 2),
-            fmt(m[4], 2),
-        ]);
-        paper.row(vec![
-            p.name.to_string(),
-            fmt(p.pct_breaks, 2),
-            p.quantiles.q50.to_string(),
-            p.quantiles.q90.to_string(),
-            p.quantiles.q99.to_string(),
-            p.quantiles.q100.to_string(),
-            p.static_cond_sites.to_string(),
-            fmt(p.pct_taken, 2),
-            fmt(p.mix.cond, 2),
-            fmt(p.mix.indirect, 2),
-            fmt(p.mix.uncond, 2),
-            fmt(p.mix.call, 2),
-            fmt(p.mix.ret, 2),
-        ]);
-    }
-
-    // The paper picked gcc, cfront and groff for their high
-    // instruction-cache miss rates (§5); report the measured rates.
-    let mut misses = Table::new(
-        "Instruction-cache miss rates of the synthetic traces (%)",
-        &["program", "8K direct", "16K direct", "32K direct", "32K 4-way"],
-    );
-    for p in BenchProfile::all() {
-        let gen_cfg = GenConfig::for_profile(&p);
-        let program = synthesize(&p, &gen_cfg);
-        let mut row = vec![p.name.to_string()];
-        for cache_cfg in [
-            CacheConfig::paper(8, 1),
-            CacheConfig::paper(16, 1),
-            CacheConfig::paper(32, 1),
-            CacheConfig::paper(32, 4),
-        ] {
-            let mut cache = InstructionCache::new(cache_cfg);
-            for r in Walker::new(&program, cfg.seed).take(cfg.trace_len) {
-                cache.access(r.pc);
-            }
-            row.push(fmt(cache.stats().miss_pct(), 2));
-        }
-        misses.row(row);
-    }
-
-    measured.print();
-    println!();
-    paper.print();
-    println!();
-    misses.print();
-    let path = measured.save("table1_measured");
-    paper.save("table1_paper");
-    misses.save("table1_miss_rates");
-    println!("\nwrote {}", path.display());
+    nls_bench::stage_main(nls_bench::figures::TABLE1);
 }

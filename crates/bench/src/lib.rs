@@ -1,52 +1,58 @@
-//! Experiment harness: shared plumbing for the binaries that
-//! regenerate every table and figure of the paper.
+//! Experiment harness: every table and figure of the paper, as stage
+//! functions that both the stage binaries and `repro_all` run.
 //!
-//! Each `src/bin/*` binary reproduces one table or figure (see
-//! DESIGN.md for the index) and both prints an aligned text table
-//! and writes a CSV into `results/`. The dynamic trace length is
-//! controlled by the `NLS_TRACE_LEN` environment variable
-//! (default 8,000,000 instructions per run).
+//! Each stage, an [`Experiment`], computes a [`Report`]: aligned text
+//! tables, each written as a CSV into `results/`, and notes (see
+//! DESIGN.md for the index). A *grid* stage is its runs plus a render from their
+//! results, so `repro_all` can simulate the runs of every grid stage
+//! once, in one supervised sweep, and render each stage from those
+//! rows; its binary sweeps its own runs. The stages are in
+//! [`figures`], [`ablations`] and [`extensions`]. The dynamic trace
+//! length is the `NLS_TRACE_LEN` environment variable (default
+//! 8,000,000 instructions per run).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use nls_core::{SweepConfig, DEFAULT_TRACE_LEN};
+use nls_core::{average, run_sweep, RunSpec, SimResult, SweepConfig, DEFAULT_TRACE_LEN};
 
-/// The sweep configuration used by all experiment binaries:
-/// `NLS_TRACE_LEN` instructions (default 8 M) with a fixed seed so
-/// every figure is reproducible bit-for-bit.
-pub fn sweep_config() -> SweepConfig {
-    let trace_len = std::env::var("NLS_TRACE_LEN")
-        .ok()
-        .and_then(|v| v.replace('_', "").parse::<usize>().ok())
-        .unwrap_or(DEFAULT_TRACE_LEN);
-    SweepConfig { trace_len, seed: 0x0b5e_55ed }
-}
+pub mod ablations;
+pub mod extensions;
+pub mod figures;
 
-/// Validates a `NLS_BENCH_TIMEOUT_SECS` value: `None` (unset) falls
-/// back to `default_secs`, anything set must parse as a positive
-/// integer number of seconds (underscore separators allowed, like
-/// `NLS_TRACE_LEN`). A set-but-invalid value is an error, not a
-/// silent fallback — a typo like `TIMEOUT=60O` must not quietly run
-/// the pipeline with a 600 s watchdog.
+/// Parses an `NLS_TRACE_LEN` value: `None` (unset) is the default
+/// 8 M records; a set value must be a positive integer, with optional
+/// `_` separators. A set-but-invalid value is an error, not a silent
+/// fallback: `NLS_TRACE_LEN=10k` must not quietly run full-length
+/// traces, nor `0` write tables of zeros.
 ///
 /// # Errors
 ///
-/// Returns a usage-class message when the value is non-numeric or
-/// zero.
-pub fn parse_timeout_secs(value: Option<&str>, default_secs: u64) -> Result<u64, String> {
+/// A usage-class message naming the value.
+pub(crate) fn trace_len(value: Option<&str>) -> Result<usize, String> {
     let Some(raw) = value else {
-        return Ok(default_secs);
+        return Ok(DEFAULT_TRACE_LEN);
     };
-    match raw.replace('_', "").parse::<u64>() {
-        Ok(secs) if secs > 0 => Ok(secs),
-        Ok(_) => Err(format!(
-            "NLS_BENCH_TIMEOUT_SECS={raw:?} disables the watchdog; unset it or pass a \
-             positive number of seconds"
+    match raw.replace('_', "").parse::<usize>() {
+        Ok(len) if len > 0 => Ok(len),
+        _ => Err(format!(
+            "NLS_TRACE_LEN={raw:?} is not a positive number of trace records (want e.g. \
+             1_000_000)"
         )),
-        Err(_) => Err(format!(
-            "NLS_BENCH_TIMEOUT_SECS={raw:?} is not a number of seconds (want e.g. 600)"
-        )),
+    }
+}
+
+/// The sweep configuration of every stage: `NLS_TRACE_LEN`
+/// instructions (default 8 M) with a fixed seed, so every figure is
+/// reproducible bit-for-bit. A bad `NLS_TRACE_LEN` is a usage error:
+/// the process exits 2 before any stage runs.
+pub fn sweep_config() -> SweepConfig {
+    match trace_len(std::env::var("NLS_TRACE_LEN").ok().as_deref()) {
+        Ok(trace_len) => SweepConfig { trace_len, seed: 0x0b5e_55ed },
+        Err(msg) => {
+            eprintln!("error[usage]: {msg}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -62,11 +68,90 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// The work ledger of `repro_all`'s verdict sweep, so an interrupted
+/// The work ledger of `repro_all`'s grid sweep, so an interrupted
 /// reproduction can restart with `--resume` instead of recomputing
-/// every completed (benchmark × cache × engine) cell.
+/// every completed (benchmark × cache × engines) cell.
 pub fn ledger_path() -> PathBuf {
     results_dir().join("repro_ledger.json")
+}
+
+/// One stage of the reproduction (a table, figure, ablation or
+/// extension): how it computes its [`Report`].
+#[derive(Debug, Clone, Copy)]
+pub enum Experiment {
+    /// A stage whose simulations are `run_sweep` calls over the
+    /// default workload: its runs, and its report rendered from their
+    /// results in run order (each run's results in engine order), as
+    /// [`run_sweep`] returns them.
+    Grid(fn() -> Vec<RunSpec>, fn(&[SimResult]) -> Report),
+    /// A stage that simulates on its own, or not at all.
+    Alone(fn(&SweepConfig) -> Report),
+}
+
+impl Experiment {
+    /// The stage run on its own: a grid stage sweeps its runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run of a grid stage fails ([`run_sweep`]).
+    pub fn report(&self, cfg: &SweepConfig) -> Report {
+        match self {
+            Experiment::Grid(runs, render) => render(&run_sweep(&runs(), cfg)),
+            Experiment::Alone(alone) => alone(cfg),
+        }
+    }
+}
+
+/// The `main` of a stage binary: runs `stage` on its own at
+/// [`sweep_config`] and emits its report.
+pub fn stage_main(stage: Experiment) {
+    stage.report(&sweep_config()).emit();
+}
+
+/// What a stage prints and writes: its tables, each with the name of
+/// its CSV under `results/`, and the notes printed after them.
+#[derive(Debug)]
+pub struct Report {
+    /// The tables in print order, each with its CSV name.
+    pub tables: Vec<(&'static str, Table)>,
+    /// Text printed after the tables, each line newline-terminated.
+    pub notes: String,
+}
+
+impl Report {
+    /// A report of one table, written as `results/<name>.csv`.
+    pub fn new(name: &'static str, table: Table, notes: &str) -> Self {
+        Report { tables: vec![(name, table)], notes: notes.to_string() }
+    }
+
+    /// Prints the tables (a blank line between two) and the notes,
+    /// writes every table's CSV and names the first one written.
+    pub fn emit(&self) {
+        for (i, (_, table)) in self.tables.iter().enumerate() {
+            if i > 0 {
+                println!();
+            }
+            table.print();
+        }
+        print!("{}", self.notes);
+        let paths: Vec<PathBuf> = self.tables.iter().map(|(name, t)| t.save(name)).collect();
+        if let Some(first) = paths.first() {
+            println!("\nwrote {}", first.display());
+        }
+    }
+}
+
+/// The average ([`average`]) of the results `keep` selects, in order.
+///
+/// # Panics
+///
+/// Panics if `keep` selects none.
+pub(crate) fn average_of(
+    results: &[SimResult],
+    keep: impl Fn(&SimResult) -> bool,
+) -> SimResult {
+    let kept: Vec<SimResult> = results.iter().filter(|r| keep(r)).cloned().collect();
+    average(&kept)
 }
 
 /// A printable, CSV-writable results table.
@@ -217,15 +302,14 @@ mod tests {
     }
 
     #[test]
-    fn timeout_parses_strictly() {
-        assert_eq!(parse_timeout_secs(None, 600), Ok(600));
-        assert_eq!(parse_timeout_secs(Some("30"), 600), Ok(30));
-        assert_eq!(parse_timeout_secs(Some("1_200"), 600), Ok(1_200));
+    fn trace_len_parses_strictly() {
+        assert_eq!(trace_len(None), Ok(DEFAULT_TRACE_LEN));
+        assert_eq!(trace_len(Some("30")), Ok(30));
+        assert_eq!(trace_len(Some("1_200")), Ok(1_200));
         // Set-but-broken values must error, not fall back silently.
-        for bad in ["", "soon", "60O", "-5", "1.5", "0"] {
-            let err = parse_timeout_secs(Some(bad), 600).unwrap_err();
-            assert!(err.contains("NLS_BENCH_TIMEOUT_SECS"), "{bad:?}: {err}");
+        for bad in ["", "soon", "60O", "-5", "1.5", "0", "10k"] {
+            let err = trace_len(Some(bad)).unwrap_err();
+            assert!(err.contains("NLS_TRACE_LEN"), "{bad:?}: {err}");
         }
-        assert!(parse_timeout_secs(Some("0"), 600).unwrap_err().contains("disables"));
     }
 }

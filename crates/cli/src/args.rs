@@ -82,7 +82,8 @@ impl ParsedArgs {
         Ok(out)
     }
 
-    /// The last value given for `--key`, if any.
+    /// The value given for `--key`, if any (the last, for an option
+    /// [`expect_only`](Self::expect_only) lets repeat).
     pub fn get(&self, key: &str) -> Option<&str> {
         self.options.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
@@ -97,19 +98,31 @@ impl ParsedArgs {
         self.switches.iter().any(|s| s == key)
     }
 
-    /// Rejects unknown option/switch names (catches typos early).
+    /// Rejects unknown option/switch names (catches typos early) and a
+    /// single-valued option given more than once, which would otherwise
+    /// keep only its last value. `allowed` names every option and switch
+    /// of the command; an option that may repeat is listed with a `...`
+    /// suffix, as in `"engine..."`.
     ///
     /// # Errors
     ///
-    /// Fails naming the first unrecognised option.
+    /// Fails naming the first unrecognised or repeated option.
     pub fn expect_only(&self, allowed: &[&str]) -> Result<(), CliError> {
-        for (k, _) in &self.options {
-            if !allowed.contains(&k.as_str()) {
+        let spec =
+            |key: &str| allowed.iter().find(|a| a.strip_suffix("...").unwrap_or(a) == key);
+        for (i, (k, _)) in self.options.iter().enumerate() {
+            let Some(name) = spec(k) else {
                 return err(format!("unknown option --{k} for `{}`", self.command));
+            };
+            if !name.ends_with("...") && self.options.iter().take(i).any(|o| &o.0 == k) {
+                return err(format!(
+                    "option --{k} is given more than once for `{}`; it takes one value",
+                    self.command
+                ));
             }
         }
         for k in &self.switches {
-            if !allowed.contains(&k.as_str()) {
+            if spec(k).is_none() {
                 return err(format!("unknown switch --{k} for `{}`", self.command));
             }
         }
@@ -352,6 +365,9 @@ mod tests {
         let a = ParsedArgs::parse(["x", "--engine", "a", "--engine", "b"]).unwrap();
         assert_eq!(a.get_all("engine"), vec!["a", "b"]);
         assert_eq!(a.get("engine"), Some("b"), "get returns the last");
+        assert!(a.expect_only(&["engine..."]).is_ok());
+        let e = a.expect_only(&["engine"]).unwrap_err();
+        assert!(e.0.contains("--engine is given more than once"), "{e}");
     }
 
     #[test]

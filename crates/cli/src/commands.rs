@@ -432,8 +432,8 @@ pub fn sweep_worker(a: &ParsedArgs) -> Result<String, NlsError> {
         "ledger",
         "worker-id",
         "bench",
-        "cache",
-        "engine",
+        "cache...",
+        "engine...",
         "len",
         "seed",
         "lease-ms",
@@ -516,7 +516,7 @@ pub fn simulate(a: &ParsedArgs) -> Result<String, NlsError> {
     a.expect_only(&[
         "bench",
         "cache",
-        "engine",
+        "engine...",
         "len",
         "seed",
         "csv",
@@ -572,8 +572,8 @@ pub fn simulate(a: &ParsedArgs) -> Result<String, NlsError> {
 pub fn sweep(a: &ParsedArgs) -> Result<String, NlsError> {
     a.expect_only(&[
         "bench",
-        "cache",
-        "engine",
+        "cache...",
+        "engine...",
         "len",
         "seed",
         "csv",
@@ -1056,7 +1056,7 @@ pub fn gen_trace(a: &ParsedArgs) -> Result<String, NlsError> {
 /// Fails on malformed options, unreadable or corrupt traces
 /// (beyond what the policy absorbs), or I/O errors.
 pub fn replay(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&["trace", "cache", "engine", "csv", "on-corrupt"])?;
+    a.expect_only(&["trace", "cache", "engine...", "csv", "on-corrupt"])?;
     let path = a.get("trace").ok_or(CliError("--trace is required".into()))?;
     let policy = parse_recovery_policy(a.get("on-corrupt").unwrap_or("fail"))?;
     let cache = parse_cache(a.get("cache").unwrap_or("16K:1"))?;

@@ -90,6 +90,9 @@ fn usage_errors_exit_two_with_stderr_diagnostics() {
     };
     let (no_heap, deadline) = (with("--max-heap-mb", "0"), with("--deadline", "soon"));
     let (no_records, lots) = (with("--max-records", "0"), with("--max-records", "lots"));
+    // A single-valued option given twice; `--cache` may repeat in a sweep.
+    let repeated = ["sweep", "--bench", "li", "--bench", "gcc", "--cache", "8K:1", "--cache"];
+    let repeated: Vec<&str> = repeated.into_iter().chain(["8K:4", "--ledger", l]).collect();
     // Every dispatched subcommand refuses an option it does not know.
     let bogus = [
         "simulate",
@@ -114,6 +117,8 @@ fn usage_errors_exit_two_with_stderr_diagnostics() {
         &lots[..],
         &["sweep-worker", "--ledger", l, "--bench", "li", "--workers", "65"][..],
         &["sweep", "--bench", "li", "--len", "10k", "--checkpoint", l][..],
+        &repeated[..],
+        &["simulate", "--bench", "li", "--len", "1k", "--len", "2k"][..],
     ];
     for args in cases.into_iter().chain(bogus.iter().map(|a| &a[..])) {
         let out = nls(args);
@@ -122,6 +127,13 @@ fn usage_errors_exit_two_with_stderr_diagnostics() {
         if args.get(1) == Some(&"--bogus") {
             let want = format!("error[usage]: unknown option --bogus for `{}`", args[0]);
             assert_eq!(stderr(&out).lines().next(), Some(want.as_str()), "args {args:?}");
+        }
+        if args == &repeated[..] {
+            assert!(
+                stderr(&out).contains("--bench is given more than once"),
+                "{}",
+                stderr(&out)
+            );
         }
         assert!(stdout(&out).is_empty(), "errors must not print results");
         assert!(!ledger.exists(), "args {args:?}: a usage error must leave no ledger");

@@ -204,15 +204,22 @@ impl Budget {
                 return Err(StopReason::RecordLimit { limit });
             }
         }
-        if let Some(limit_bytes) = self.max_heap_bytes {
-            if heap_bytes > limit_bytes {
-                return Err(StopReason::HeapLimit { limit_bytes, estimated_bytes: heap_bytes });
-            }
-        }
+        self.check_heap(heap_bytes)?;
         if records_done.is_multiple_of(DEADLINE_POLL_INTERVAL) {
             self.check_deadline()?;
         }
         Ok(())
+    }
+
+    /// The heap limit alone, which a sweep worker checks before it
+    /// claims a cell, against the state the cell would report.
+    pub(crate) fn check_heap(&self, heap_bytes: u64) -> Result<(), StopReason> {
+        match self.max_heap_bytes {
+            Some(limit_bytes) if heap_bytes > limit_bytes => {
+                Err(StopReason::HeapLimit { limit_bytes, estimated_bytes: heap_bytes })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// The coarse poll for loops without a record counter (sweep

@@ -45,6 +45,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -287,22 +288,23 @@ impl Ledger {
     /// Claims the first claimable cell for `worker`: the one-cell case
     /// of [`Ledger::claim_cells`].
     pub fn claim(&mut self, worker: &str, now_ms: u64) -> ClaimOutcome {
-        self.claim_cells(worker, now_ms, |_| 1)
+        self.claim_cells(worker, now_ms, |_| 0..1)
     }
 
     /// The claim scan. It first reclaims every orphaned lease across
     /// the grid (and fails attempt-exhausted cells), so a dead
     /// worker's cells re-enter circulation the moment any live worker
-    /// looks for work. Then it leases the first `take(claimable)`
-    /// claimable cells to `worker`: `claimable` lists the key of every
-    /// pending cell past its backoff gate, in key order, and the count
-    /// is clamped to `1..=claimable.len()`. Each claimed cell keeps its
+    /// looks for work. Then it leases the claimable cells
+    /// `take(claimable)` picks to `worker`: `claimable` lists the key of
+    /// every pending cell past its backoff gate, in key order, and
+    /// `take` returns the range of them to lease, which may be empty
+    /// (out of bounds, it leases nothing). Each claimed cell keeps its
     /// own lease, attempt count and backoff.
     pub fn claim_cells(
         &mut self,
         worker: &str,
         now_ms: u64,
-        take: impl FnOnce(&[&str]) -> usize,
+        take: impl FnOnce(&[&str]) -> Range<usize>,
     ) -> ClaimOutcome {
         let lease_ms = self.lease_ms;
         let max_attempts = self.max_attempts;
@@ -353,8 +355,8 @@ impl Ledger {
             })
             .map(|(key, _)| key.as_str())
             .collect();
-        let n = take(&claimable).clamp(1, claimable.len().max(1));
-        let chosen: Vec<String> = claimable.iter().take(n).map(|key| key.to_string()).collect();
+        let chosen = claimable.get(take(&claimable)).unwrap_or_default();
+        let chosen: Vec<String> = chosen.iter().map(|key| key.to_string()).collect();
         let lease_expires_ms = now_ms.saturating_add(lease_ms);
         let mut claimed = Vec::with_capacity(chosen.len());
         // nls-lint: allow(cancellation-reach): bounded by the claim's cells; pure in-memory update
@@ -923,7 +925,7 @@ impl LedgerFile {
         &self,
         cancel: &CancelToken,
         worker: &str,
-        take: impl FnOnce(&[&str]) -> usize,
+        take: impl FnOnce(&[&str]) -> Range<usize>,
     ) -> Result<ClaimOutcome, NlsError> {
         self.update(cancel, |l| l.claim_cells(worker, now_ms(), take))
     }
@@ -1304,9 +1306,10 @@ impl Drop for Heartbeat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
     use crate::engine::KindCounts;
     use crate::spec::EngineSpec;
-    use crate::sweep::{cross, ledger_claim_len, RunSpec, CLAIM_STATE_BYTES};
+    use crate::sweep::{cross, ledger_claim, RunSpec, CLAIM_STATE_BYTES};
     use nls_icache::{CacheConfig, CacheStats};
     use nls_trace::BenchProfile;
     use std::time::Instant;
@@ -1726,7 +1729,7 @@ mod tests {
         let cancel = CancelToken::new();
         file.update(&cancel, |l| {
             let now = now_ms();
-            assert_eq!(cell_keys(&l.claim_cells("w0", now, |_| 3)).len(), 3);
+            assert_eq!(cell_keys(&l.claim_cells("w0", now, |_| 0..3)).len(), 3);
             assert!(l.complete(&grid[0], "w0", vec![sample_result()]));
             assert!(l.record_failure(&grid[1], "w0", now, "engine panicked: boom"));
         })
@@ -1832,7 +1835,7 @@ mod tests {
         let file = LedgerFile::new(&path);
         file.init(Ledger::new(&cfg(), 30_000, 3, keys()), false).unwrap();
         let cancel = CancelToken::new();
-        let out = file.claim(&cancel, "w0", |_| 1).unwrap();
+        let out = file.claim(&cancel, "w0", |_| 0..1).unwrap();
         let ClaimOutcome::Claimed { key, lease_ms, .. } = out else { panic!("{out:?}") };
         let hb = Heartbeat::start(&file, &key, "w0", lease_ms, &cancel);
         std::thread::sleep(Duration::from_millis(20));
@@ -1850,12 +1853,12 @@ mod tests {
         let one_cell = vec!["a | 8K direct | e".to_string()];
         file.init(Ledger::new(&cfg(), 30_000, 3, one_cell), false).unwrap();
         let cancel = CancelToken::new();
-        let out = file.claim(&cancel, "w0", |_| 1).unwrap();
+        let out = file.claim(&cancel, "w0", |_| 0..1).unwrap();
         assert!(matches!(out, ClaimOutcome::Claimed { .. }), "{out:?}");
         let seen = file.stamp();
         // Past any coarse mtime tick, so a rewrite would show.
         std::thread::sleep(Duration::from_millis(30));
-        let out = file.claim(&cancel, "w1", |_| 1).unwrap();
+        let out = file.claim(&cancel, "w1", |_| 0..1).unwrap();
         assert!(matches!(out, ClaimOutcome::Wait { .. }), "{out:?}");
         assert_eq!(file.stamp(), seen, "an idle claim must not rewrite the ledger");
         // A real change ends a wait at once, long before the lease.
@@ -1873,7 +1876,7 @@ mod tests {
         let file = LedgerFile::new(&path);
         file.init(fresh(), false).unwrap();
         let cancel = CancelToken::new();
-        let out = file.claim(&cancel, "w0", |_| 1).unwrap();
+        let out = file.claim(&cancel, "w0", |_| 0..1).unwrap();
         let ClaimOutcome::Claimed { key, .. } = out else { panic!("{out:?}") };
         let size = || fs::metadata(&path).unwrap().len();
         let claimed = size();
@@ -1909,11 +1912,11 @@ mod tests {
         file.init(fresh(), false).unwrap();
         let cancel = CancelToken::new();
         assert!(matches!(
-            file.claim(&cancel, "w0", |_| 1).unwrap(),
+            file.claim(&cancel, "w0", |_| 0..1).unwrap(),
             ClaimOutcome::Claimed { .. }
         ));
         assert!(matches!(
-            file.claim(&cancel, "w1", |_| 1).unwrap(),
+            file.claim(&cancel, "w1", |_| 0..1).unwrap(),
             ClaimOutcome::Claimed { .. }
         ));
         let text = fs::read_to_string(&path).unwrap();
@@ -1937,7 +1940,10 @@ mod tests {
         let cancel = CancelToken::new();
         let a = LedgerFile::new(&path);
         a.init(Ledger::new(&cfg(), 30_000, 3, grid.clone()), false).unwrap();
-        assert!(matches!(a.claim(&cancel, "wa", |_| 1).unwrap(), ClaimOutcome::Claimed { .. }));
+        assert!(matches!(
+            a.claim(&cancel, "wa", |_| 0..1).unwrap(),
+            ClaimOutcome::Claimed { .. }
+        ));
         let cached_at = fs::metadata(&path).unwrap().len();
         // Another handle resumes under a new lease, renaming a fresh
         // snapshot over the path, then grows that file past a's
@@ -1946,7 +1952,7 @@ mod tests {
         b.init(Ledger::new(&cfg(), 9_999, 3, grid), true).unwrap();
         while fs::metadata(&path).unwrap().len() <= cached_at {
             assert!(matches!(
-                b.claim(&cancel, "wb", |_| 1).unwrap(),
+                b.claim(&cancel, "wb", |_| 0..1).unwrap(),
                 ClaimOutcome::Claimed { .. }
             ));
         }
@@ -1965,7 +1971,7 @@ mod tests {
         file.init(Ledger::new(&cfg(), 30_000, 3, grid), false).unwrap();
         let snapshot = fs::read_to_string(&path).unwrap();
         let cancel = CancelToken::new();
-        let out = file.claim(&cancel, "w0", |_| 1).unwrap();
+        let out = file.claim(&cancel, "w0", |_| 0..1).unwrap();
         let ClaimOutcome::Claimed { key, .. } = out else { panic!("{out:?}") };
         let claimed = fs::metadata(&path).unwrap().len() as usize;
         let results = vec![sample_result(), sample_result()];
@@ -2007,7 +2013,7 @@ mod tests {
         assert!(matches!(adopted.state("a | 8K direct | e"), Some(CellState::Done { .. })));
         assert_eq!(fs::read_to_string(&path).unwrap(), BARE_V2, "resume keeps the snapshot");
         let cancel = CancelToken::new();
-        let out = file.claim(&cancel, "w0", |_| 1).unwrap();
+        let out = file.claim(&cancel, "w0", |_| 0..1).unwrap();
         assert!(matches!(out, ClaimOutcome::Claimed { attempt: 2, .. }), "{out:?}");
         // A reader that predates the journal parses one document and
         // refuses whatever follows it.
@@ -2157,6 +2163,14 @@ mod tests {
         runs.iter().map(|run| (run.key(), run)).collect()
     }
 
+    /// The claim rule of `workers` workers over `index`, with no limit.
+    fn rule<'a>(
+        index: &'a BTreeMap<String, &RunSpec>,
+        workers: usize,
+    ) -> impl FnOnce(&[&str]) -> Range<usize> + 'a {
+        move |keys| ledger_claim(keys, index, &Budget::unlimited(), workers).expect("no limit")
+    }
+
     /// `benches` × `caches` (KiB, ways) under the four engines of the
     /// benchmark's sweeps.
     fn four_engine_runs(benches: &[BenchProfile], caches: &[(u64, u32)]) -> Vec<RunSpec> {
@@ -2209,27 +2223,38 @@ mod tests {
 
         // One worker: every claimable gcc cell, in key order, and no li
         // cell; the leased, done and gated cells are skipped.
-        let claim = l.clone().claim_cells("w0", 101, |k| ledger_claim_len(k, &index, 1));
+        let claim = l.clone().claim_cells("w0", 101, rule(&index, 1));
         let want = vec![(released.clone(), 1), (small[0].clone(), 1), (small[1].clone(), 1)];
         assert_eq!(cell_keys(&claim), want);
         // Five workers share nine claimable cells: a claim takes two.
-        let claim = l.clone().claim_cells("w0", 101, |k| ledger_claim_len(k, &index, 5));
+        let claim = l.clone().claim_cells("w0", 101, rule(&index, 5));
         assert_eq!(cell_keys(&claim), want[..2].to_vec());
 
         // The state bound: two 128K cells fit in a claim, three do not.
         let mut fresh = Ledger::new(&cfg(), 1_000, 3, runs.iter().map(RunSpec::key));
-        let claim = fresh.claim_cells("w0", 100, |k| ledger_claim_len(k, &index, 1));
+        let claim = fresh.claim_cells("w0", 100, rule(&index, 1));
         assert_eq!(cell_keys(&claim).len(), 2, "{claim:?}");
         let held: u64 = cell_keys(&claim).iter().map(|(k, _)| index[k].state_bytes()).sum();
         let next = index[&key("gcc", "128K 8-way")].state_bytes();
         assert!(held <= CLAIM_STATE_BYTES && held + next > CLAIM_STATE_BYTES, "{held}");
+
+        // A heap limit skips the cells it refuses, gcc's 128K ones, and
+        // stops the worker once it refuses every claimable cell.
+        let budget = Budget::unlimited().with_max_heap_bytes(index[&small[1]].state_bytes());
+        let mut fresh = Ledger::new(&cfg(), 1_000, 3, runs.iter().map(RunSpec::key));
+        let claim =
+            fresh.claim_cells("w0", 100, |k| ledger_claim(k, &index, &budget, 1).unwrap());
+        assert_eq!(cell_keys(&claim), vec![(small[0].clone(), 1), (small[1].clone(), 1)]);
+        let refused = key("gcc", "128K direct");
+        let err = ledger_claim(&[refused.as_str()], &index, &budget, 1).unwrap_err();
+        assert!(matches!(err, crate::StopReason::HeapLimit { .. }), "{err}");
 
         // A cell larger than the bound is claimed alone, never skipped.
         let huge = four_engine_runs(&[BenchProfile::li()], &[(1024, 1), (8, 1)]);
         let index = grid(&huge);
         assert!(huge[0].state_bytes() > CLAIM_STATE_BYTES);
         let mut l = Ledger::new(&cfg(), 1_000, 3, huge.iter().map(RunSpec::key));
-        let claim = l.claim_cells("w0", 100, |k| ledger_claim_len(k, &index, 1));
+        let claim = l.claim_cells("w0", 100, rule(&index, 1));
         assert_eq!(cell_keys(&claim), vec![(huge[0].key(), 1)]);
     }
 
@@ -2246,7 +2271,7 @@ mod tests {
             .unwrap();
         let before = fs::read_to_string(&path).unwrap();
         let cancel = CancelToken::new();
-        let claim = file.claim(&cancel, "w0", |k| ledger_claim_len(k, &index, 1)).unwrap();
+        let claim = file.claim(&cancel, "w0", rule(&index, 1)).unwrap();
         let keys = cell_keys(&claim);
         assert_eq!(keys.len(), 3, "gcc's three cells: {claim:?}");
         let text = fs::read_to_string(&path).unwrap();
@@ -2261,13 +2286,13 @@ mod tests {
         let grid: Vec<String> =
             ["a", "b", "c"].iter().map(|c| format!("li | {c} | e")).collect();
         let mut l = Ledger::new(&cfg(), 1_000, 3, grid.clone());
-        let claim = l.claim_cells("dying", 100, |k| k.len());
+        let claim = l.claim_cells("dying", 100, |k| 0..k.len());
         assert_eq!(cell_keys(&claim).len(), 3);
         // The holder dies; one scan past the lease parks every cell
         // behind its own backoff gate, one attempt spent each.
         let gate = 1_200 + Ledger::backoff_ms(1);
         assert_eq!(
-            l.claim_cells("w1", 1_200, |k| k.len()),
+            l.claim_cells("w1", 1_200, |k| 0..k.len()),
             ClaimOutcome::Wait { until_ms: gate }
         );
         for key in &grid {
@@ -2278,7 +2303,7 @@ mod tests {
             );
         }
         // Past the gate each cell is granted again as attempt 2.
-        let claim = l.claim_cells("w1", gate, |k| k.len());
+        let claim = l.claim_cells("w1", gate, |k| 0..k.len());
         let want: Vec<(String, u64)> = grid.iter().map(|k| (k.clone(), 2)).collect();
         assert_eq!(cell_keys(&claim), want);
     }
@@ -2291,7 +2316,7 @@ mod tests {
         let file = LedgerFile::new(&path);
         file.init(Ledger::new(&cfg(), 120, 3, grid.clone()), false).unwrap();
         let cancel = CancelToken::new();
-        let claim = file.claim(&cancel, "w0", |_| 3).unwrap();
+        let claim = file.claim(&cancel, "w0", |_| 0..3).unwrap();
         let ClaimOutcome::Claimed { lease_ms, .. } = claim else { panic!("{claim:?}") };
         let keys: Vec<String> = cell_keys(&claim).into_iter().map(|(k, _)| k).collect();
         let claimed = fs::metadata(&path).unwrap().len() as usize;
@@ -2329,7 +2354,7 @@ mod tests {
         let file = LedgerFile::new(&path);
         file.init(Ledger::new(&cfg(), 120, 3, grid.clone()), false).unwrap();
         let cancel = CancelToken::new();
-        let claim = file.claim(&cancel, "w0", |k| k.len()).unwrap();
+        let claim = file.claim(&cancel, "w0", |k| 0..k.len()).unwrap();
         let ClaimOutcome::Claimed { lease_ms, .. } = claim else { panic!("{claim:?}") };
         let hb = Heartbeat::start_all(&file, &grid, "w0", lease_ms, &cancel);
         // Another worker ends up holding b, as after w0 was presumed

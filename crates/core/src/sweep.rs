@@ -39,12 +39,13 @@
 //! one. The unsupervised entry points run under [`Budget::unlimited`].
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use nls_icache::CacheConfig;
 use nls_trace::{BenchProfile, Program};
 
-use crate::budget::{Budget, CancelToken};
+use crate::budget::{Budget, CancelToken, StopReason};
 use crate::error::{NlsError, RunError};
 use crate::ledger::{
     self, CellState, ClaimOutcome, Heartbeat, Ledger, LedgerFile, DEFAULT_LEASE_MS,
@@ -232,19 +233,34 @@ pub(crate) fn claim_len<B: PartialEq>(
 }
 
 /// The claim rule over a ledger's claimable keys, each looked up in
-/// `index`, which maps every key of the sweep to its run. A key with
-/// no run of this sweep counts as holding no state, and foreign keys
-/// claim apart from the sweep's own cells.
-pub(crate) fn ledger_claim_len(
+/// `index`, which maps every key of the sweep to its run: the range of
+/// `keys` to claim. Cells whose state `budget`'s heap limit refuses are
+/// skipped, and a claim ends before the next one, so a refused cell
+/// never keeps a worker from the cells after it. A key with no run of
+/// this sweep counts as holding no state, and foreign keys claim apart
+/// from the sweep's own cells.
+///
+/// # Errors
+///
+/// The heap limit's stop reason when it refuses every claimable cell.
+pub(crate) fn ledger_claim(
     keys: &[&str],
     index: &BTreeMap<String, &RunSpec>,
+    budget: &Budget,
     workers: usize,
-) -> usize {
+) -> Result<Range<usize>, StopReason> {
     let cell = |key: &&str| match index.get(*key) {
         Some(run) => (Some(&run.bench), run.state_bytes()),
         None => (None, 0),
     };
-    claim_len(keys.iter().map(cell), workers)
+    let cells: Vec<_> = keys.iter().map(cell).collect();
+    let refused = |&(_, bytes): &(_, u64)| budget.check_heap(bytes).err();
+    let Some(start) = cells.iter().position(|c| refused(c).is_none()) else {
+        return cells.first().and_then(refused).map_or(Ok(0..0), Err);
+    };
+    let rest = cells.get(start..).unwrap_or_default();
+    let fits = rest.iter().take_while(|c| refused(c).is_none()).count();
+    Ok(start..start + claim_len(rest.iter().take(fits).copied(), workers))
 }
 
 /// How many executors a sweep of `cells` cells runs: the available
@@ -433,9 +449,19 @@ fn work_ledger(
         // Stamped before the claim, so a write that lands after the
         // claim's read cannot slip past the wait below.
         let seen = file.stamp();
-        let (key, attempt, lease_ms, more) = match file
-            .claim(&cancel, worker, |keys| ledger_claim_len(keys, &index, workers))?
-        {
+        let mut refused = None;
+        let claimed = file.claim(&cancel, worker, |keys| {
+            ledger_claim(keys, &index, budget, workers).unwrap_or_else(|reason| {
+                refused = Some(reason);
+                0..0
+            })
+        })?;
+        if let Some(reason) = refused {
+            // The heap limit refuses every claimable cell: it stops
+            // them, as it would stop each in its run.
+            return Err(NlsError::Interrupted(reason.to_string()));
+        }
+        let (key, attempt, lease_ms, more) = match claimed {
             ClaimOutcome::Drained => return Ok(report),
             ClaimOutcome::Wait { until_ms } => {
                 // Nothing claimable until a lease expires, a
@@ -1244,7 +1270,7 @@ mod tests {
             // The second worker, driven by hand: it holds one cell while
             // the worker under test finishes the other and goes idle.
             let ClaimOutcome::Claimed { key, .. } =
-                file.claim(&cancel, "slow", |_| 1).expect("claim")
+                file.claim(&cancel, "slow", |_| 0..1).expect("claim")
             else {
                 panic!("a fresh ledger has a claimable cell");
             };

@@ -46,7 +46,8 @@ fn durable_sweep(runs: &[RunSpec], file: &LedgerFile) -> Vec<Vec<SimResult>> {
 /// key to `settle`, in one ledger update.
 fn settle_cells(file: &LedgerFile, settle: impl Fn(&mut Ledger, &str)) {
     file.update(&CancelToken::new(), |l| {
-        let ClaimOutcome::Claimed { key, more, .. } = l.claim_cells("w0", 0, |keys| keys.len())
+        let ClaimOutcome::Claimed { key, more, .. } =
+            l.claim_cells("w0", 0, |keys| 0..keys.len())
         else {
             panic!("a fresh ledger has claimable cells");
         };

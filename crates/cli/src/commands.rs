@@ -39,14 +39,14 @@ use nls_core::{
     install_signal_token, merge_ledger_outcomes, oracle, paper_caches, run_ledger_worker,
     run_one_supervised, run_sweep, run_sweep_supervised, Budget, CancelToken, Cell, CellState,
     EngineSpec, Ledger, LedgerFile, NlsError, PenaltyModel, RunError, RunSpec, SimResult,
-    StopReason, SweepConfig, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
+    StopReason, SweepConfig, BLOCK_RECORDS, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
 };
 use nls_cost::access_time::{btb_access_ns, tagless_access_ns, TimingProcess};
 use nls_cost::rbe::{btb_rbe, nls_cache_rbe, nls_table_rbe, CacheGeometry};
 use nls_trace::faults::{ChaosScheduler, RuntimeFault};
 use nls_trace::{
     synthesize, write_trace_atomic, BenchProfile, GenConfig, TraceFileError, TraceReader,
-    TraceStats, Walker,
+    TraceRecord, TraceStats, Walker,
 };
 
 use crate::args::{
@@ -142,6 +142,28 @@ fn budget_from(a: &ParsedArgs, cancel: CancelToken) -> Result<Budget, CliError> 
         budget = budget.with_max_heap_bytes(parse_size_mb(s)?.saturating_mul(1024 * 1024));
     }
     Ok(budget)
+}
+
+/// What to do about the cells of `runs` that `--max-heap-mb` refuses,
+/// or `None` when it refuses none. A refusal depends only on a cell's
+/// geometry (its engine state, [`RunSpec::state_bytes`], against the
+/// limit, the rule the sweep workers apply), so every rerun refuses the
+/// same cells: only a larger budget, or a grid without them, finishes.
+fn heap_refusals(a: &ParsedArgs, runs: &[RunSpec]) -> Result<Option<String>, CliError> {
+    let Some(mb) = a.get("max-heap-mb") else { return Ok(None) };
+    let heap =
+        Budget::unlimited().with_max_heap_bytes(parse_size_mb(mb)?.saturating_mul(1024 * 1024));
+    let refused: Vec<String> = runs
+        .iter()
+        .filter(|run| heap.check(0, run.state_bytes()).is_err())
+        .map(RunSpec::key)
+        .collect();
+    Ok((!refused.is_empty()).then(|| {
+        format!(
+            "--max-heap-mb {mb} refuses {} on every run: raise it or drop those geometries",
+            refused.join(", ")
+        )
+    }))
 }
 
 /// The (benchmark × cache) × engines grid and sweep config shared by
@@ -407,10 +429,15 @@ fn sweep_distributed(
     // The workers are gone: fold their journal into one snapshot
     // before merging, so the ledger left behind reads one line per cell.
     let ledger = file.compact(&CancelToken::new())?;
-    let then = format!(
-        "completed cells are in the ledger at {} — rerun with --resume to finish",
-        path.display()
-    );
+    let then = match heap_refusals(a, runs)? {
+        Some(refused) => {
+            format!("{refused}; completed cells are in the ledger at {}", path.display())
+        }
+        None => format!(
+            "completed cells are in the ledger at {} — rerun with --resume to finish",
+            path.display()
+        ),
+    };
     render_merged(merge_ledger_outcomes(runs, &ledger), a, token.is_cancelled(), stop, &then)
 }
 
@@ -606,8 +633,9 @@ pub fn sweep(a: &ParsedArgs) -> Result<String, NlsError> {
         Err(RunError::Interrupted { reason, .. }) => Some(reason.clone()),
         _ => None,
     });
-    let then = "rerun with --ledger <FILE> to make sweeps resumable";
-    render_merged(outcomes, a, token.is_cancelled(), stop, then)
+    let then = heap_refusals(a, &runs)?
+        .unwrap_or_else(|| "rerun with --ledger <FILE> to make sweeps resumable".to_string());
+    render_merged(outcomes, a, token.is_cancelled(), stop, &then)
 }
 
 /// `nls soak`: the chaos/soak matrix — seeded runtime faults (read
@@ -1042,10 +1070,11 @@ pub fn gen_trace(a: &ParsedArgs) -> Result<String, NlsError> {
 
 /// `nls replay`: run a recorded trace through engines.
 ///
-/// The trace streams through the engines, which share one
-/// [`Cell`] front end, one
-/// [`BLOCK_RECORDS`](nls_core::BLOCK_RECORDS)-sized block at a time,
-/// so memory stays one block no matter how large the file is.
+/// The trace file is decoded a [`BLOCK_RECORDS`]-record block at a
+/// time straight into the drive loop's buffer
+/// ([`TraceReader::fill_block`]), and each block goes to the engines,
+/// which share one [`Cell`] front end, so memory stays one block no
+/// matter how large the file is.
 /// `--on-corrupt` selects how decoding damage is handled: `fail`
 /// (default) stops with a trace error, `skip`/`skip:N` drops corrupt
 /// records, `truncate` keeps the intact prefix; recoveries are
@@ -1066,8 +1095,12 @@ pub fn replay(a: &ParsedArgs) -> Result<String, NlsError> {
     // The first decode error the policy does not absorb ends the
     // stream; it is reported once the engines have stopped.
     let mut corrupt = None;
-    let records = reader.by_ref().map_while(|r| r.map_err(|e| corrupt = Some(e)).ok());
-    drive_records_supervised(records, &mut cell, &Budget::unlimited());
+    let decode = |block: &mut Vec<TraceRecord>| {
+        if let Err(e) = reader.fill_block(block, BLOCK_RECORDS) {
+            corrupt = Some(e);
+        }
+    };
+    drive_records_supervised(decode, &mut cell, &Budget::unlimited());
     if let Some(e) = corrupt {
         return Err(trace_err(e));
     }

@@ -10,15 +10,31 @@ use std::process::ExitCode;
 use nls_cli::args::ParsedArgs;
 use nls_cli::commands::{dispatch, USAGE};
 use nls_core::NlsError;
+use nls_trace::TraceFileError;
 
-/// A one-line recovery hint per error class, so the binary
+/// A one-line recovery hint chosen from the error, so the binary
 /// acknowledges every [`NlsError`] variant it can exit with.
 fn hint(e: &NlsError) -> &'static str {
     match e {
         NlsError::Usage(_) => "run `nls help` for the command reference",
-        NlsError::Trace(_) => {
+        NlsError::Trace(TraceFileError::BadRecord { .. }) => {
             "regenerate the file with `nls gen-trace`, or replay with --on-corrupt=skip"
         }
+        NlsError::Trace(TraceFileError::TruncatedBody { .. }) => {
+            "the file ends early: replay with --on-corrupt=truncate to keep the records before \
+             the cut, or regenerate it with `nls gen-trace`"
+        }
+        NlsError::Trace(TraceFileError::TooCorrupt { .. }) => {
+            "the skip limit was hit: raise N in --on-corrupt=skip:N (plain `skip` has none), \
+             replay with --on-corrupt=truncate to keep the records before the first corrupt \
+             one, or regenerate the file with `nls gen-trace`"
+        }
+        NlsError::Trace(
+            TraceFileError::BadMagic(_)
+            | TraceFileError::BadVersion(_)
+            | TraceFileError::BadHeader(_),
+        ) => "no --on-corrupt policy recovers a damaged header: regenerate the file with `nls \
+              gen-trace`",
         NlsError::Run(_) => {
             "a simulation engine failed; re-run with a smaller --len to reproduce"
         }
@@ -26,10 +42,11 @@ fn hint(e: &NlsError) -> &'static str {
             "restart `nls serve` with --resume to finish the saved jobs, or point --state-dir \
              at an empty directory"
         }
-        NlsError::Io(_) => "check the path, permissions and free space, then retry",
+        NlsError::Io(_) | NlsError::Trace(TraceFileError::Io(_)) => {
+            "check the path, permissions and free space, then retry"
+        }
         NlsError::Interrupted(_) => {
-            "work saved in a ledger or a --state-dir is kept; rerun the same command with \
-             --resume to continue it"
+            "the work was stopped, not failed; the line above says what was kept and how to go on"
         }
         NlsError::Ledger(_) => {
             "completed cells are safe in the ledger; rerun `nls sweep --ledger <FILE> --resume`, \

@@ -360,6 +360,101 @@ fn on_corrupt_skip_recovers_where_the_default_fails() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Writes a 10k-record li trace to `name` and applies `damage` to its
+/// bytes; returns the path.
+fn damaged_trace(name: &str, damage: impl FnOnce(&mut Vec<u8>)) -> PathBuf {
+    let path = temp_path(name);
+    let path_s = path.to_str().unwrap();
+    let out = nls(&["gen-trace", "--bench", "li", "--out", path_s, "--len", "10k"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let mut data = std::fs::read(&path).unwrap();
+    damage(&mut data);
+    std::fs::write(&path, &data).unwrap();
+    path
+}
+
+/// Replays `path` under `policy`; asserts the trace error's exit code
+/// and empty stdout, and returns stderr's error and note lines.
+fn trace_error(path: &std::path::Path, policy: &str) -> (String, String) {
+    let out = nls(&["replay", "--trace", path.to_str().unwrap(), "--on-corrupt", policy]);
+    assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    let err = stderr(&out);
+    let line =
+        |prefix: &str| err.lines().find(|l| l.starts_with(prefix)).unwrap_or("").to_string();
+    (line("error[trace]:"), line("note:"))
+}
+
+#[test]
+fn a_corrupt_frame_is_named_by_its_record_index() {
+    // Frame 4097 lies past the first 4096-record block.
+    let path = damaged_trace("bad-frame.nlst", |data| data[16 + 4097 * 18] = 0xee);
+    let (error, note) = trace_error(&path, "fail");
+    assert!(error.contains("malformed record 4097: kind tag 238"), "{error}");
+    assert!(note.contains("--on-corrupt=skip"), "{note}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_body_cut_short_suggests_truncate_not_the_skip_already_given() {
+    let path = damaged_trace("short-body.nlst", |data| data.truncate(16 + 4096 * 18 + 5));
+    let (error, note) = trace_error(&path, "skip");
+    assert!(error.contains("body truncated after 4096 of 10000 records"), "{error}");
+    assert!(note.contains("--on-corrupt=truncate"), "{note}");
+    assert!(!note.contains("--on-corrupt=skip"), "skipping cannot help a short body: {note}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn an_exceeded_skip_limit_says_the_limit_was_hit() {
+    let path = damaged_trace("too-corrupt.nlst", |data| {
+        for frame in [4095, 4096, 8191, 8192] {
+            data[16 + frame * 18] = 0xee;
+        }
+    });
+    let (error, note) = trace_error(&path, "skip:3");
+    assert!(error.contains("4 corrupt records exceed the skip limit of 3"), "{error}");
+    assert!(note.contains("skip limit was hit"), "{note}");
+    assert!(note.contains("--on-corrupt=truncate"), "{note}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A `--max-heap-mb` that refuses a cell's geometry refuses it on every
+/// rerun, so the sweep names the refused cells and suggests a larger
+/// budget or a smaller grid, never `--resume`, in memory and through a
+/// ledger alike; an in-memory sweep a record budget stops does not
+/// suggest `--resume` either.
+#[test]
+fn a_heap_refusal_names_its_cells_and_no_in_memory_sweep_suggests_resume() {
+    let sweep: Vec<&str> =
+        "sweep --bench li --len 10k --cache 8K:1 --cache 4096K:1 --max-heap-mb 1"
+            .split(' ')
+            .collect();
+    let ledger = temp_path("heap-refusal-ledger.json");
+    let durable =
+        [&sweep[..], &["--ledger", ledger.to_str().unwrap(), "--workers", "2"]].concat();
+    for args in [&sweep[..], &durable[..]] {
+        let out = nls(args);
+        assert_eq!(out.status.code(), Some(7), "{}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+        let err = stderr(&out);
+        assert_eq!(err.lines().filter(|l| l.starts_with("error[")).count(), 1, "{err}");
+        assert_eq!(err.lines().filter(|l| l.starts_with("note:")).count(), 1, "{err}");
+        assert!(err.contains("sweep stopped after 1/2 cells"), "{err}");
+        assert!(err.contains("--max-heap-mb 1 refuses li | 4096K direct |"), "{err}");
+        assert!(!err.contains("li | 8K direct"), "the 8K cell fits: {err}");
+        assert!(err.contains("raise it or drop those geometries"), "{err}");
+        assert!(!err.contains("--resume"), "a rerun is refused again: {err}");
+    }
+    let _ = std::fs::remove_file(&ledger);
+
+    let records: Vec<&str> =
+        "sweep --bench li --len 10k --cache 8K:1 --max-records 100".split(' ').collect();
+    let out = nls(&records);
+    assert_eq!(out.status.code(), Some(7), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("--resume"), "{}", stderr(&out));
+}
+
 #[test]
 fn deadline_budget_degrades_with_a_note_not_a_crash() {
     let out = nls(&["simulate", "--bench", "li", "--len", "4m", "--deadline", "1ms"]);

@@ -602,7 +602,7 @@ impl Builder {
 /// # Examples
 ///
 /// ```
-/// use nls_core::{drive_records_supervised, Budget, Cell, EngineSpec};
+/// use nls_core::{drive_records_supervised, Budget, Cell, EngineSpec, BLOCK_RECORDS};
 /// use nls_icache::CacheConfig;
 /// use nls_trace::{Addr, BreakKind, TraceRecord};
 ///
@@ -615,7 +615,9 @@ impl Builder {
 /// // target when it resolves; the NLS table's pointer is written when
 /// // the target is fetched. The second time, both fetch it right.
 /// let trace = [branch, target, branch, target];
-/// assert_eq!(drive_records_supervised(trace, &mut cell, &Budget::unlimited()), None);
+/// let mut blocks = trace.chunks(BLOCK_RECORDS);
+/// let fill = |b: &mut Vec<_>| b.extend_from_slice(blocks.next().unwrap_or_default());
+/// assert_eq!(drive_records_supervised(fill, &mut cell, &Budget::unlimited()), None);
 /// let results = cell.results("demo");
 /// assert_eq!(results.len(), 2);
 /// assert_eq!(results[0].engine, "128 direct BTB");

@@ -14,7 +14,9 @@
 //!   one-bit prediction (§6.2, `Johnson`).
 //! * [`Cell`] — a cache and the engines of some specs on one front
 //!   end, so that only the fetch mechanism differs between them;
-//!   [`drive_records_supervised`] feeds it any record stream, and
+//!   [`drive_records_supervised`] feeds it any source that fills a
+//!   block of records at a time (`nls replay` decodes a trace file
+//!   into it), and
 //!   [`run_cells_supervised`] walks a synthetic workload through
 //!   several at once.
 //! * [`SimResult`] / [`PenaltyModel`] — %MfB, %MpB, branch execution

@@ -87,43 +87,7 @@ impl Outcome {
 /// poll, the walk's pass setup) is amortised to noise.
 pub const BLOCK_RECORDS: usize = 4096;
 
-/// Lends [`drive_blocks`] its next block of at most
-/// [`BLOCK_RECORDS`] records; an empty block ends the run.
-trait BlockSource {
-    fn next_block(&mut self) -> &[TraceRecord];
-}
-
-/// A walk of at most `remaining` more records, generated into one
-/// reused buffer a block at a time.
-struct Walk<'w, 'p> {
-    walker: &'w mut Walker<'p>,
-    remaining: usize,
-    block: Vec<TraceRecord>,
-}
-
-impl BlockSource for Walk<'_, '_> {
-    fn next_block(&mut self) -> &[TraceRecord] {
-        let want = BLOCK_RECORDS.min(self.remaining);
-        self.remaining -= self.walker.fill_block(&mut self.block, want);
-        &self.block
-    }
-}
-
-/// A decoded stream: `fill` overwrites one reused buffer with the
-/// next block.
-struct Refill<F> {
-    block: Vec<TraceRecord>,
-    fill: F,
-}
-
-impl<F: FnMut(&mut Vec<TraceRecord>)> BlockSource for Refill<F> {
-    fn next_block(&mut self) -> &[TraceRecord] {
-        (self.fill)(&mut self.block);
-        &self.block
-    }
-}
-
-/// One run fed by a block source: its heap estimate and — once a
+/// One run fed by a block loop: its heap estimate and — once a
 /// budget poll refuses the run — why it stopped.
 struct Run {
     heap: u64,
@@ -144,23 +108,26 @@ fn outcome(results: Vec<SimResult>, stop: Option<StopReason>) -> Outcome {
     }
 }
 
-/// The one supervised block loop behind every batched driver: each
-/// block goes once to `step_block`, with a flag per run that is set
-/// while the run is still running. A run polls the budget with its
-/// own heap estimate, so each run stops where it would have stopped
-/// alone (see [`drive_records_supervised`]; a deadline, as ever, up to
-/// clock timing); the source is not read again once every run has
-/// stopped.
+/// The one supervised block loop behind every batched driver: `fill`
+/// appends the next block of records to one reused, emptied buffer
+/// (the contract is [`drive_records_supervised`]'s), and each block
+/// goes once to `step_block`, with a flag per run that is set while
+/// the run is still running. A run polls the budget with its own heap
+/// estimate, so each run stops where it would have stopped alone (see
+/// [`drive_records_supervised`]; a deadline, as ever, up to clock
+/// timing); the source is not read again once every run has stopped.
 fn drive_blocks(
-    mut source: impl BlockSource,
+    mut fill: impl FnMut(&mut Vec<TraceRecord>),
     runs: &mut [Run],
     budget: &Budget,
     mut step_block: impl FnMut(&[TraceRecord], &[bool]),
 ) {
     let mut running = vec![true; runs.len()];
+    let mut block = Vec::with_capacity(BLOCK_RECORDS);
     let mut done: u64 = 0;
     loop {
-        let block = source.next_block();
+        block.clear();
+        fill(&mut block);
         if block.is_empty() {
             return;
         }
@@ -193,42 +160,37 @@ fn drive_blocks(
     }
 }
 
-/// Streams `records` through every engine of `cell` in
-/// [`BLOCK_RECORDS`]-sized blocks buffered one at a time, so memory
-/// stays one block however long the stream is (`nls replay` feeds a
-/// trace file this way): the budget is polled once per block, not once
-/// per record, and the cell takes each block in one call.
+/// Streams a record source through every engine of `cell` a block at
+/// a time: `fill` appends the next [`BLOCK_RECORDS`] records to one
+/// reused, emptied buffer — fewer only at the end of the stream, and
+/// none once it has ended. Memory stays one block however long the
+/// stream is: `nls replay` decodes its trace file straight into that
+/// buffer with
+/// [`TraceReader::fill_block`](nls_trace::TraceReader::fill_block),
+/// and a caller holding a slice appends its chunks. The budget is
+/// polled once per block, not once per record, and the cell takes each
+/// block in one call.
 ///
 /// Returns `None` when the stream was fully consumed, or the
 /// [`StopReason`] that cut it short (the cell then holds the counters
 /// of the records consumed so far). Stopping is bit-for-bit identical
-/// to the scalar reference loop ([`drive_supervised_scalar`]): a
-/// record limit still lands on the exact record, because the block
-/// straddling it is split there, and a stream that ends on the record
-/// a limit would land on completes, because a block is in hand before
-/// each poll just as the scalar loop only ever polled with a record in
+/// to the scalar reference loop ([`drive_supervised_scalar`]): a record
+/// limit still lands on the exact record, because the block straddling
+/// it is split there, and a stream that ends on the record a limit
+/// would land on completes, because a block is in hand before each
+/// poll just as the scalar loop only ever polled with a record in
 /// hand. The one sanctioned relaxation is deadline slack — the wall
 /// clock is read at block rather than [`DEADLINE_POLL_INTERVAL`]
-/// granularity.
+/// granularity, which full blocks keep aligned.
 ///
 /// [`DEADLINE_POLL_INTERVAL`]: crate::budget::DEADLINE_POLL_INTERVAL
-pub fn drive_records_supervised<I>(
-    records: I,
+pub fn drive_records_supervised(
+    fill: impl FnMut(&mut Vec<TraceRecord>),
     cell: &mut Cell,
     budget: &Budget,
-) -> Option<StopReason>
-where
-    I: IntoIterator<Item = TraceRecord>,
-{
-    let mut records = records.into_iter();
-    let fill = |block: &mut Vec<TraceRecord>| {
-        block.clear();
-        block.extend(records.by_ref().take(BLOCK_RECORDS));
-    };
+) -> Option<StopReason> {
     let mut runs = [Run::new(cell.approx_heap_bytes())];
-    drive_blocks(Refill { block: Vec::new(), fill }, &mut runs, budget, |block, _| {
-        cell.step_block(block)
-    });
+    drive_blocks(fill, &mut runs, budget, |block, _| cell.step_block(block));
     let [run] = runs;
     run.stop
 }
@@ -287,7 +249,10 @@ pub fn run_cells_supervised(
     let mut cells = Cells::new(specs.iter().map(|s| (s.cache, s.engines.as_slice())));
     let mut runs: Vec<Run> = cells.heap_bytes().map(Run::new).collect();
     let mut walker = Walker::new(program, cfg.seed);
-    let walk = Walk { walker: &mut walker, remaining: cfg.trace_len, block: Vec::new() };
+    let mut remaining = cfg.trace_len;
+    let walk = |block: &mut Vec<TraceRecord>| {
+        remaining -= walker.fill_block(block, BLOCK_RECORDS.min(remaining));
+    };
     drive_blocks(walk, &mut runs, budget, |block, running| cells.step_block(block, running));
     cells
         .results(specs.iter().map(|s| s.bench.name))

@@ -111,7 +111,7 @@ impl RunSpec {
     /// The approximate bytes of engine state simulating this run
     /// holds — what its cell reports to the heap budget — computed
     /// from the specs, without building them.
-    pub(crate) fn state_bytes(&self) -> u64 {
+    pub fn state_bytes(&self) -> u64 {
         self.engines.iter().map(|e| e.state_bytes(&self.cache)).sum()
     }
 }
@@ -1058,7 +1058,10 @@ mod tests {
             [TraceRecord::sequential(Addr::new(0)), TraceRecord::sequential(Addr::new(4))];
         let specs = [EngineSpec::nls_table(512), EngineSpec::btb(128, 1)];
         let mut cell = crate::Cell::new(CacheConfig::paper(8, 1), &specs);
-        assert_eq!(drive_records_supervised(trace, &mut cell, &Budget::unlimited()), None);
+        let mut blocks = trace.chunks(crate::BLOCK_RECORDS);
+        let fill =
+            |b: &mut Vec<TraceRecord>| b.extend_from_slice(blocks.next().unwrap_or_default());
+        assert_eq!(drive_records_supervised(fill, &mut cell, &Budget::unlimited()), None);
         let results = cell.results("t");
         assert_eq!(results.len(), 2);
         for r in &results {

@@ -25,6 +25,13 @@ use nls_trace::{synthesize, Addr, BenchProfile, BreakKind, GenConfig, TraceRecor
 const TRACE_LEN: usize = 3 * BLOCK_RECORDS + 1234;
 const SEED: u64 = 0xd1ff;
 
+/// `trace` as [`drive_records_supervised`]'s source: its
+/// [`BLOCK_RECORDS`]-record chunks, one per block.
+fn blocks(trace: &[TraceRecord]) -> impl FnMut(&mut Vec<TraceRecord>) + '_ {
+    let mut chunks = trace.chunks(BLOCK_RECORDS);
+    move |block| block.extend_from_slice(chunks.next().unwrap_or_default())
+}
+
 /// The fleet's cache.
 fn cache() -> CacheConfig {
     CacheConfig::paper(8, 2)
@@ -85,7 +92,7 @@ fn assert_paths_agree(budget_for: impl Fn() -> Budget) -> (Option<StopReason>, V
     let scalar_stop = drive_supervised_scalar(&trace, &mut scalar, &budget_for());
 
     let mut block = Cell::new(cache(), &fleet());
-    let block_stop = drive_records_supervised(trace.iter().copied(), &mut block, &budget_for());
+    let block_stop = drive_records_supervised(blocks(&trace), &mut block, &budget_for());
 
     let spec = RunSpec { bench: bench(), cache: cache(), engines: fleet() };
     let streamed = run_one_supervised(&spec, &cfg(), &budget_for());
@@ -189,7 +196,7 @@ fn degraded_block_prefix_matches_a_shorter_complete_run() {
 
     let mut capped = Cell::new(cache(), &fleet());
     let stop = drive_records_supervised(
-        trace.iter().copied(),
+        blocks(&trace),
         &mut capped,
         &Budget::unlimited().with_max_records(limit as u64),
     );
@@ -199,8 +206,7 @@ fn degraded_block_prefix_matches_a_shorter_complete_run() {
     let Some(prefix) = trace.get(..limit) else {
         panic!("trace shorter than the limit");
     };
-    let stop =
-        drive_records_supervised(prefix.iter().copied(), &mut short, &Budget::unlimited());
+    let stop = drive_records_supervised(blocks(prefix), &mut short, &Budget::unlimited());
     assert_eq!(stop, None);
     assert_eq!(capped.results(bench().name), short.results(bench().name));
 }
@@ -286,16 +292,12 @@ fn a_pending_commit_crosses_the_block_boundary_identically() {
         assert_eq!(drive_supervised_scalar(&trace, &mut scalar, &Budget::unlimited()), None);
         let mut block = alone(cache(), &fleet());
         for cell in &mut block {
-            let stop =
-                drive_records_supervised(trace.iter().copied(), cell, &Budget::unlimited());
+            let stop = drive_records_supervised(blocks(&trace), cell, &Budget::unlimited());
             assert_eq!(stop, None);
         }
         let mut streamed = Cell::new(cache(), &fleet());
-        let stop = drive_records_supervised(
-            trace.iter().copied(),
-            &mut streamed,
-            &Budget::unlimited(),
-        );
+        let stop =
+            drive_records_supervised(blocks(&trace), &mut streamed, &Budget::unlimited());
         assert_eq!(stop, None);
 
         let want = results(&scalar);
@@ -490,7 +492,7 @@ fn assert_cell_matches_engines_alone(
     assert_eq!(walked.results(), want.as_slice(), "walked cell diverged from scalar");
 
     let mut cell = Cell::new(cache(), specs);
-    let streamed = drive_records_supervised(trace.iter().copied(), &mut cell, &budget_for());
+    let streamed = drive_records_supervised(blocks(&trace), &mut cell, &budget_for());
     assert_eq!(streamed, stop, "streamed cell stop diverged from scalar");
     assert_eq!(cell.results(bench().name), want, "streamed cell diverged from scalar");
     (stop, want)

@@ -15,12 +15,16 @@
 //! Production replay runs live or die on long ingestion of huge
 //! address streams, so the primary interface is *streaming*:
 //!
-//! * [`TraceReader`] decodes one fixed-size record frame at a time
-//!   (bounded memory regardless of the header's claimed count) and
-//!   yields `Result<TraceRecord, TraceFileError>`. A configurable
-//!   [`RecoveryPolicy`] decides whether a corrupt frame fails the
-//!   stream, is skipped (up to a bound), or truncates the trace at
-//!   the first error.
+//! * [`TraceReader::fill_block`] decodes a block of records at a
+//!   time into a caller's buffer. The reader reads fixed-size frames
+//!   ahead in one go into a reused byte buffer of at most 4096 frames
+//!   and the frames the header has left (never sized by the header's
+//!   claimed count alone), and checks each frame as a record is asked
+//!   for. The reader is also an iterator of
+//!   `Result<TraceRecord, TraceFileError>`, the one-record case of the
+//!   same decoder. A configurable [`RecoveryPolicy`] decides, frame by
+//!   frame, whether a corrupt frame fails the stream, is skipped (up
+//!   to a bound), or truncates the trace at the first error.
 //! * [`TraceWriter`] streams records out through a buffered writer
 //!   and back-patches the header count on [`TraceWriter::finish`],
 //!   so the full record set is never materialised.
@@ -63,8 +67,22 @@ pub enum TraceFileError {
     BadVersion(u32),
     /// The header is truncated or claims an implausible record count.
     BadHeader(String),
-    /// A record had an invalid kind tag or inconsistent fields.
-    BadRecord(String),
+    /// A record frame had an invalid kind tag or inconsistent fields.
+    BadRecord {
+        /// The frame's position in the body, counted from 0.
+        index: u64,
+        /// What is wrong with it.
+        why: String,
+    },
+    /// The body ended before the header's record count: no policy but
+    /// [`RecoveryPolicy::TruncateAtError`] can recover it, because
+    /// there are no more bytes to skip to.
+    TruncatedBody {
+        /// Whole frames the body held.
+        read: u64,
+        /// The record count the header declared.
+        declared: u64,
+    },
     /// More corrupt records than [`RecoveryPolicy::SkipRecord`]
     /// allows.
     TooCorrupt {
@@ -83,7 +101,12 @@ impl std::fmt::Display for TraceFileError {
             TraceFileError::BadMagic(m) => write!(f, "bad magic {m:?}, expected \"NLST\""),
             TraceFileError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceFileError::BadHeader(why) => write!(f, "malformed header: {why}"),
-            TraceFileError::BadRecord(why) => write!(f, "malformed record: {why}"),
+            TraceFileError::BadRecord { index, why } => {
+                write!(f, "malformed record {index}: {why}")
+            }
+            TraceFileError::TruncatedBody { read, declared } => {
+                write!(f, "body truncated after {read} of {declared} records")
+            }
             TraceFileError::TooCorrupt { skipped, limit } => {
                 write!(f, "{skipped} corrupt records exceed the skip limit of {limit}")
             }
@@ -136,7 +159,7 @@ fn kind_tag(class: InstClass) -> u8 {
     }
 }
 
-fn tag_kind(tag: u8) -> Result<InstClass, TraceFileError> {
+fn tag_kind(tag: u8) -> Result<InstClass, String> {
     Ok(match tag {
         0 => InstClass::Sequential,
         1 => InstClass::Break(BreakKind::Conditional),
@@ -144,7 +167,7 @@ fn tag_kind(tag: u8) -> Result<InstClass, TraceFileError> {
         3 => InstClass::Break(BreakKind::IndirectJump),
         4 => InstClass::Break(BreakKind::Call),
         5 => InstClass::Break(BreakKind::Return),
-        t => return Err(TraceFileError::BadRecord(format!("kind tag {t}"))),
+        t => return Err(format!("kind tag {t}")),
     })
 }
 
@@ -157,7 +180,11 @@ fn encode_record(r: &TraceRecord) -> [u8; TRACE_RECORD_BYTES] {
     frame
 }
 
-fn decode_record(frame: &[u8; TRACE_RECORD_BYTES]) -> Result<TraceRecord, TraceFileError> {
+/// Checks and decodes one frame, or says what is wrong with it.
+/// Inlined into the generic `fill_block`, which is compiled in the
+/// caller's crate: otherwise every frame costs a call.
+#[inline]
+fn decode_record(frame: &[u8; TRACE_RECORD_BYTES]) -> Result<TraceRecord, String> {
     // Full array destructuring: the frame layout is checked by the
     // compiler, so decoding has no panic path at all.
     let [tag, taken, p0, p1, p2, p3, p4, p5, p6, p7, t0, t1, t2, t3, t4, t5, t6, t7] = *frame;
@@ -166,30 +193,42 @@ fn decode_record(frame: &[u8; TRACE_RECORD_BYTES]) -> Result<TraceRecord, TraceF
     let pc = u64::from_le_bytes([p0, p1, p2, p3, p4, p5, p6, p7]);
     let target = u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]);
     if pc % 4 != 0 || target % 4 != 0 {
-        return Err(TraceFileError::BadRecord(format!("misaligned pc {pc:#x}")));
+        return Err(format!("misaligned pc {pc:#x}"));
     }
     Ok(match class {
         InstClass::Sequential => TraceRecord::sequential(Addr::new(pc)),
         InstClass::Break(kind) => {
             if !taken && kind != BreakKind::Conditional {
-                return Err(TraceFileError::BadRecord(
-                    "not-taken non-conditional break".into(),
-                ));
+                return Err("not-taken non-conditional break".into());
             }
             TraceRecord::branch(Addr::new(pc), kind, taken, Addr::new(target))
         }
     })
 }
 
-/// A streaming `NLST` decoder: an iterator of
-/// `Result<TraceRecord, TraceFileError>` holding one record frame in
-/// memory at a time.
+/// Frames one read takes from the source: the decoder's read-ahead,
+/// and so the bound on its byte buffer (72 KiB). It equals the drive
+/// loop's block (`nls_core::BLOCK_RECORDS`), so decoding a block of
+/// intact frames takes one read.
+const READ_FRAMES: usize = 4096;
+
+/// A streaming `NLST` decoder.
+///
+/// [`fill_block`] decodes the next block of records into a caller's
+/// buffer. The reader reads frames ahead in one go, up to 4096 at a
+/// time, into a byte buffer it reuses, and judges each frame under its
+/// [`RecoveryPolicy`] only as a record is asked for. The reader is
+/// also an iterator of `Result<TraceRecord, TraceFileError>`: each
+/// item is a one-record [`fill_block`], so both views share one
+/// framing and one policy.
 ///
 /// The header is validated on construction; records are decoded
-/// lazily, so a hostile header count can never force a large
-/// allocation. After iteration, [`records_skipped`] and
+/// lazily, and the byte buffer holds at most one read of the frames
+/// the header has left, so a hostile header count can never force a
+/// large allocation. After decoding, [`records_skipped`] and
 /// [`truncated`] report how much recovery the policy performed.
 ///
+/// [`fill_block`]: TraceReader::fill_block
 /// [`records_skipped`]: TraceReader::records_skipped
 /// [`truncated`]: TraceReader::truncated
 ///
@@ -199,20 +238,36 @@ fn decode_record(frame: &[u8; TRACE_RECORD_BYTES]) -> Result<TraceRecord, TraceF
 /// use nls_trace::{write_trace, Addr, RecoveryPolicy, TraceReader, TraceRecord};
 ///
 /// let mut buf = Vec::new();
-/// write_trace(&mut buf, vec![TraceRecord::sequential(Addr::new(0x100))]).unwrap();
+/// write_trace(&mut buf, vec![TraceRecord::sequential(Addr::new(0x100)); 3]).unwrap();
+/// let mut reader = TraceReader::with_policy(&buf[..], RecoveryPolicy::Fail).unwrap();
+/// let mut block = Vec::new();
+/// assert_eq!(reader.fill_block(&mut block, 2).unwrap(), 2);
+/// assert_eq!(reader.fill_block(&mut block, 2).unwrap(), 1);
+/// assert_eq!(reader.fill_block(&mut block, 2).unwrap(), 0);
+///
 /// let reader = TraceReader::with_policy(&buf[..], RecoveryPolicy::Fail).unwrap();
 /// let records: Result<Vec<_>, _> = reader.collect();
-/// assert_eq!(records.unwrap().len(), 1);
+/// assert_eq!(records.unwrap().len(), 3);
 /// ```
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     src: R,
     policy: RecoveryPolicy,
     declared: u64,
-    consumed: u64,
+    /// Whole frames taken from the source so far; never more than
+    /// `declared`.
+    read: u64,
     skipped: u64,
     truncated: bool,
     done: bool,
+    /// The whole frames of the last read.
+    frames: Vec<u8>,
+    /// Frames of `frames` already judged.
+    judged: usize,
+    /// How the last read ended short of the frames it asked for: at
+    /// the end of the source (`Some(None)`) or on an I/O error. It
+    /// takes effect once every frame before it has been judged.
+    cut: Option<Option<io::Error>>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -266,10 +321,13 @@ impl<R: Read> TraceReader<R> {
             src,
             policy,
             declared,
-            consumed: 0,
+            read: 0,
             skipped: 0,
             truncated: false,
             done: false,
+            frames: Vec::new(),
+            judged: 0,
+            cut: None,
         })
     }
 
@@ -295,6 +353,143 @@ impl<R: Read> TraceReader<R> {
     pub fn policy(&self) -> RecoveryPolicy {
         self.policy
     }
+
+    /// Overwrites `block` with the next `want` records and returns how
+    /// many it holds: fewer only where the stream ends, and 0 once it
+    /// has ended. The policy judges the frames in order, and a frame it
+    /// skips is made up by the next one.
+    ///
+    /// # Errors
+    ///
+    /// The error that ends the stream: an I/O failure, a corrupt frame
+    /// under [`RecoveryPolicy::Fail`], one skip over the limit, or a
+    /// body shorter than the header's count under any policy but
+    /// [`RecoveryPolicy::TruncateAtError`]. Records decoded before it
+    /// come first: the call that reaches the error returns them, and
+    /// the next call returns the error with an empty `block`.
+    pub fn fill_block(
+        &mut self,
+        block: &mut Vec<TraceRecord>,
+        want: usize,
+    ) -> Result<usize, TraceFileError> {
+        block.clear();
+        while !self.done && block.len() < want {
+            let ahead = self.frames.as_chunks().0.get(self.judged..).unwrap_or_default();
+            if ahead.is_empty() {
+                if self.cut.is_none() {
+                    self.read_ahead();
+                    continue;
+                }
+                // The source cut the body short here: the records
+                // before the cut go out first.
+                if !block.is_empty() {
+                    break;
+                }
+                return self.end_at_cut();
+            }
+            let take = ahead.len().min(want - block.len());
+            block.reserve(take);
+            for (k, frame) in ahead.iter().take(take).enumerate() {
+                let why = match decode_record(frame) {
+                    Ok(r) => {
+                        block.push(r);
+                        continue;
+                    }
+                    Err(why) => why,
+                };
+                match self.policy {
+                    RecoveryPolicy::SkipRecord { max_skips } if self.skipped < max_skips => {
+                        self.skipped += 1;
+                        continue;
+                    }
+                    RecoveryPolicy::TruncateAtError => {
+                        self.done = true;
+                        self.truncated = true;
+                        return Ok(block.len());
+                    }
+                    _ => {}
+                }
+                // The frame ends the stream with an error. The records
+                // before it go out first; the next call judges it
+                // again and returns the error.
+                self.judged += k;
+                if !block.is_empty() {
+                    return Ok(block.len());
+                }
+                self.done = true;
+                return Err(match self.policy {
+                    RecoveryPolicy::SkipRecord { max_skips } => {
+                        self.skipped += 1;
+                        TraceFileError::TooCorrupt { skipped: self.skipped, limit: max_skips }
+                    }
+                    // The frames read, less those not yet judged.
+                    _ => TraceFileError::BadRecord {
+                        index: self.read - (ahead.len() - k) as u64,
+                        why,
+                    },
+                });
+            }
+            self.judged += take;
+        }
+        Ok(block.len())
+    }
+
+    /// Replaces the judged frames with up to [`READ_FRAMES`] more of
+    /// the ones the header has left, and notes where the source cut
+    /// the read short; ends the stream when none are left.
+    fn read_ahead(&mut self) {
+        let left = usize::try_from(self.declared - self.read).unwrap_or(usize::MAX);
+        let len = left.min(READ_FRAMES) * TRACE_RECORD_BYTES;
+        if len == 0 {
+            self.done = true;
+            return;
+        }
+        self.frames.resize(len, 0);
+        let (got, failed) = read_full(&mut self.src, &mut self.frames);
+        let whole = got / TRACE_RECORD_BYTES;
+        self.frames.truncate(whole * TRACE_RECORD_BYTES);
+        self.read += whole as u64;
+        self.judged = 0;
+        if got < len {
+            self.cut = Some(failed);
+        }
+    }
+
+    /// Ends the stream where the source cut it: on the I/O error, or at
+    /// the end of a body shorter than the header's count, which only
+    /// [`RecoveryPolicy::TruncateAtError`] absorbs — skipping cannot
+    /// help, there are no more bytes.
+    fn end_at_cut(&mut self) -> Result<usize, TraceFileError> {
+        self.done = true;
+        match self.cut.take().flatten() {
+            Some(e) => Err(TraceFileError::Io(e)),
+            None if self.policy == RecoveryPolicy::TruncateAtError => {
+                self.truncated = true;
+                Ok(0)
+            }
+            None => {
+                Err(TraceFileError::TruncatedBody { read: self.read, declared: self.declared })
+            }
+        }
+    }
+}
+
+/// Reads into `buf` until it is full, the source ends or a read fails,
+/// and returns the bytes that arrived, with the failure. This is
+/// `read_exact`'s loop: a short read or an `Interrupted` error reads
+/// on, and a source's `UnexpectedEof` error counts as its end.
+fn read_full(src: &mut impl Read, buf: &mut [u8]) -> (usize, Option<io::Error>) {
+    let mut got = 0;
+    while let Some(rest) = buf.get_mut(got..).filter(|rest| !rest.is_empty()) {
+        match src.read(rest) {
+            Ok(0) => break,
+            Ok(n) => got += n.min(rest.len()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+            Err(e) => return (got, Some(e)),
+        }
+    }
+    (got, None)
 }
 
 impl TraceReader<io::BufReader<File>> {
@@ -329,58 +524,17 @@ impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<TraceRecord, TraceFileError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
+        // An intact frame already read is what a one-record
+        // `fill_block` returns; only the rest needs a block.
+        let ahead = self.frames.as_chunks().0.get(self.judged).filter(|_| !self.done);
+        if let Some(Ok(r)) = ahead.map(decode_record) {
+            self.judged += 1;
+            return Some(Ok(r));
         }
-        loop {
-            if self.consumed >= self.declared {
-                self.done = true;
-                return None;
-            }
-            let mut frame = [0u8; TRACE_RECORD_BYTES];
-            if let Err(e) = self.src.read_exact(&mut frame) {
-                self.done = true;
-                if e.kind() != io::ErrorKind::UnexpectedEof {
-                    return Some(Err(TraceFileError::Io(e)));
-                }
-                // The body ended before the declared count. Skipping
-                // cannot help — there are no more bytes.
-                return match self.policy {
-                    RecoveryPolicy::TruncateAtError => {
-                        self.truncated = true;
-                        None
-                    }
-                    _ => Some(Err(TraceFileError::BadRecord(format!(
-                        "body truncated after {} of {} records",
-                        self.consumed, self.declared
-                    )))),
-                };
-            }
-            self.consumed += 1;
-            match decode_record(&frame) {
-                Ok(r) => return Some(Ok(r)),
-                Err(e) => match self.policy {
-                    RecoveryPolicy::Fail => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    RecoveryPolicy::TruncateAtError => {
-                        self.done = true;
-                        self.truncated = true;
-                        return None;
-                    }
-                    RecoveryPolicy::SkipRecord { max_skips } => {
-                        self.skipped += 1;
-                        if self.skipped > max_skips {
-                            self.done = true;
-                            return Some(Err(TraceFileError::TooCorrupt {
-                                skipped: self.skipped,
-                                limit: max_skips,
-                            }));
-                        }
-                    }
-                },
-            }
+        let mut one = Vec::new();
+        match self.fill_block(&mut one, 1) {
+            Ok(_) => one.pop().map(Ok),
+            Err(e) => Some(Err(e)),
         }
     }
 }
@@ -661,7 +815,10 @@ mod tests {
     fn rejects_truncation() {
         let mut buf = encoded_sample();
         buf.truncate(buf.len() - 1);
-        assert!(matches!(read_trace(&buf[..]), Err(TraceFileError::BadRecord(_))));
+        assert!(matches!(
+            read_trace(&buf[..]),
+            Err(TraceFileError::TruncatedBody { read: 4, declared: 5 })
+        ));
     }
 
     #[test]
@@ -677,7 +834,10 @@ mod tests {
     fn rejects_bad_kind_tag() {
         let mut buf = encoded_sample();
         buf[TRACE_HEADER_BYTES] = 42; // first record's kind tag
-        assert!(matches!(read_trace(&buf[..]), Err(TraceFileError::BadRecord(_))));
+        assert!(matches!(
+            read_trace(&buf[..]),
+            Err(TraceFileError::BadRecord { index: 0, .. })
+        ));
     }
 
     #[test]
@@ -699,7 +859,30 @@ mod tests {
         // the missing body instead of preallocating.
         let mut buf = encoded_sample();
         buf[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        assert!(matches!(read_trace(&buf[..]), Err(TraceFileError::BadRecord(_))));
+        assert!(matches!(read_trace(&buf[..]), Err(TraceFileError::TruncatedBody { .. })));
+    }
+
+    #[test]
+    fn the_frame_buffer_holds_at_most_one_block_of_the_frames_left() {
+        const BLOCK: usize = 4096;
+        let mut block = Vec::new();
+        // A header claiming 2^40 records gets one block's buffer.
+        let mut buf = encoded_sample();
+        buf[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        buf.extend(
+            std::iter::repeat_n(encoded_sample()[TRACE_HEADER_BYTES..].to_vec(), 2000)
+                .flatten(),
+        );
+        let mut reader = TraceReader::new(&buf[..]).unwrap();
+        assert_eq!(reader.fill_block(&mut block, BLOCK).unwrap(), BLOCK);
+        assert_eq!(reader.frames.capacity(), BLOCK * TRACE_RECORD_BYTES);
+        // Five declared records get five frames' buffer, however many
+        // the call asks for.
+        let buf = encoded_sample();
+        let mut reader = TraceReader::new(&buf[..]).unwrap();
+        assert_eq!(reader.fill_block(&mut block, BLOCK).unwrap(), 5);
+        assert_eq!(reader.frames.capacity(), 5 * TRACE_RECORD_BYTES);
+        assert_eq!(reader.fill_block(&mut block, BLOCK).unwrap(), 0);
     }
 
     #[test]

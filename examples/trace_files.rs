@@ -4,17 +4,21 @@
 //! can be fed to the engines, not just the built-in synthetic
 //! workloads. This example records a workload into the compact
 //! binary `NLST` format, reads it back, verifies the round trip, and
-//! replays it through an engine — the workflow for users who have
-//! their own instrumentation traces.
+//! replays the file through an engine a block at a time, as
+//! `nls replay` does — the workflow for users who have their own
+//! instrumentation traces.
 //!
 //! ```text
 //! cargo run --release --example trace_files
 //! ```
 
-use nextline::core::{drive_records_supervised, Budget, Cell, EngineSpec, PenaltyModel};
+use nextline::core::{
+    drive_records_supervised, Budget, Cell, EngineSpec, PenaltyModel, BLOCK_RECORDS,
+};
 use nextline::icache::CacheConfig;
 use nextline::trace::{
-    read_trace, synthesize, write_trace, BenchProfile, GenConfig, TraceStats, Walker,
+    read_trace, synthesize, write_trace, BenchProfile, GenConfig, RecoveryPolicy, TraceReader,
+    TraceRecord, TraceStats, Walker,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,9 +50,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.q100()
     );
 
-    // Replay through a fetch engine.
+    // Replay the file through a fetch engine, decoding each block of
+    // records straight into the drive loop's buffer.
+    let mut reader = TraceReader::open(&path, RecoveryPolicy::Fail)?;
     let mut cell = Cell::new(CacheConfig::paper(8, 1), &[EngineSpec::nls_table(1024)]);
-    drive_records_supervised(replayed, &mut cell, &Budget::unlimited());
+    let mut corrupt = None;
+    let decode = |block: &mut Vec<TraceRecord>| {
+        if let Err(e) = reader.fill_block(block, BLOCK_RECORDS) {
+            corrupt = Some(e);
+        }
+    };
+    drive_records_supervised(decode, &mut cell, &Budget::unlimited());
+    if let Some(e) = corrupt {
+        return Err(e.into());
+    }
     let m = PenaltyModel::paper();
     for r in cell.results(profile.name) {
         println!("replay through {}: BEP {:.3}, CPI {:.3}", r.engine, r.bep(&m), r.cpi(&m));

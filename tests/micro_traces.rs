@@ -3,7 +3,9 @@
 //! facade. These pin the end-to-end semantics of the paper's
 //! penalty accounting.
 
-use nextline::core::{drive_records_supervised, Budget, Cell, EngineSpec, SimResult};
+use nextline::core::{
+    drive_records_supervised, Budget, Cell, EngineSpec, SimResult, BLOCK_RECORDS,
+};
 use nextline::icache::CacheConfig;
 use nextline::trace::{Addr, BreakKind, TraceRecord};
 
@@ -19,7 +21,10 @@ fn br(pc: u64, kind: BreakKind, taken: bool, target: u64) -> TraceRecord {
 /// spec, in order.
 fn run(trace: &[TraceRecord], cache: CacheConfig, specs: &[EngineSpec]) -> Vec<SimResult> {
     let mut cell = Cell::new(cache, specs);
-    let stop = drive_records_supervised(trace.iter().copied(), &mut cell, &Budget::unlimited());
+    let mut blocks = trace.chunks(BLOCK_RECORDS);
+    let fill =
+        |b: &mut Vec<TraceRecord>| b.extend_from_slice(blocks.next().unwrap_or_default());
+    let stop = drive_records_supervised(fill, &mut cell, &Budget::unlimited());
     assert_eq!(stop, None, "an unlimited budget never stops a run");
     cell.results("micro")
 }

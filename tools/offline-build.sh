@@ -60,6 +60,6 @@ lib nls_predictors crates/predictors/src/lib.rs nls_trace nls_icache
 lib nls_core crates/core/src/lib.rs nls_trace nls_icache nls_predictors
 lib nls_cost crates/cost/src/lib.rs
 lib nls_cli crates/cli/src/lib.rs nls_trace nls_icache nls_predictors nls_core nls_cost
-bin nls crates/cli/src/main.rs nls_cli nls_core
+bin nls crates/cli/src/main.rs nls_cli nls_core nls_trace
 
 echo "offline build OK"

@@ -7,10 +7,20 @@
 //! * cache specs: `"16K:4"` (capacity:associativity)
 //! * engine specs: `"btb:128:1"`, `"nls-table:1024"`,
 //!   `"nls-cache:2"`, `"johnson:2"`
+//!
+//! and the one description of a job every door shares: a
+//! [`JobSpec`] (from the `simulate`/`sweep`/`sweep-worker` flags,
+//! [`job_spec`], or a serve request body) becomes runs through
+//! [`job_runs`], and a [`JobLimits`] (from the budget flags, a serve
+//! request's headers or the server's policy flags) is read by
+//! [`parse_limits`].
 
 use std::fmt;
 
-use nls_core::{EngineSpec, NlsError};
+use nls_core::{
+    cross, paper_caches, EngineSpec, JobKind, JobLimits, JobSpec, NlsError, RunSpec,
+    SweepConfig,
+};
 use nls_icache::CacheConfig;
 use nls_trace::{BenchProfile, RecoveryPolicy};
 
@@ -252,6 +262,95 @@ pub fn parse_benches(name: &str) -> Result<Vec<BenchProfile>, CliError> {
             "unknown benchmark {name:?} (want one of doduc, espresso, gcc, li, cfront, groff, all)"
         )),
     }
+}
+
+/// Parses a job's engine selectors; none means the paper's pair, the
+/// 128-entry direct BTB and the 1024-entry NLS table.
+///
+/// # Errors
+///
+/// Fails on a selector [`parse_engine`] refuses.
+pub fn parse_engines<S: AsRef<str>>(specs: &[S]) -> Result<Vec<EngineSpec>, CliError> {
+    if specs.is_empty() {
+        return Ok(vec![EngineSpec::btb(128, 1), EngineSpec::nls_table(1024)]);
+    }
+    specs.iter().map(|s| parse_engine(s.as_ref())).collect()
+}
+
+/// `--len` (default 2M records) and `--seed` (default `0x0b5e55ed`):
+/// the walk of every command that simulates a benchmark, and the
+/// defaults `nls serve` gives a request that names neither.
+///
+/// # Errors
+///
+/// Fails on a malformed length or seed.
+pub fn sweep_config(a: &ParsedArgs) -> Result<SweepConfig, CliError> {
+    let trace_len = match a.get("len") {
+        Some(s) => parse_count(s)?,
+        None => 2_000_000,
+    };
+    let seed = match a.get("seed") {
+        Some(s) => s.parse().map_err(|_| CliError(format!("bad seed {s:?}")))?,
+        None => 0x0b5e_55ed,
+    };
+    Ok(SweepConfig { trace_len, seed })
+}
+
+/// The job the `simulate`, `sweep` and `sweep-worker` flags describe:
+/// `--bench` (default `all`), every `--cache` and `--engine`, and
+/// [`sweep_config`]'s walk.
+///
+/// # Errors
+///
+/// Fails on a malformed length or seed; [`job_runs`] checks the
+/// selectors.
+pub fn job_spec(a: &ParsedArgs) -> Result<JobSpec, CliError> {
+    let cfg = sweep_config(a)?;
+    let owned = |key| a.get_all(key).into_iter().map(str::to_string).collect();
+    Ok(JobSpec {
+        bench: a.get("bench").unwrap_or("all").to_string(),
+        caches: owned("cache"),
+        engines: owned("engine"),
+        trace_len: cfg.trace_len,
+        seed: cfg.seed,
+    })
+}
+
+/// The runs of a job, the one expansion of a [`JobSpec`] for every
+/// door (flags, `sweep-worker`, a serve request, the kill drill): its
+/// benchmarks × caches × engines. No cache means one 16K direct cache
+/// for a simulate job and the paper's six for a sweep; no engine means
+/// [`parse_engines`]'s pair.
+///
+/// # Errors
+///
+/// Fails on a selector the parsers refuse.
+pub fn job_runs(kind: JobKind, spec: &JobSpec) -> Result<Vec<RunSpec>, CliError> {
+    let benches = parse_benches(&spec.bench)?;
+    let caches = match (kind, spec.caches.is_empty()) {
+        (JobKind::Simulate, true) => vec![CacheConfig::paper(16, 1)],
+        (JobKind::Sweep, true) => paper_caches(),
+        (_, false) => spec.caches.iter().map(|s| parse_cache(s)).collect::<Result<_, _>>()?,
+    };
+    Ok(cross(&benches, &caches, &parse_engines(&spec.engines)?))
+}
+
+/// The one parser of a job's limits, for the budget flags, a serve
+/// request's `x-nls-*` headers and the server's policy flags alike:
+/// `get` returns the text given for a limit by its flag name
+/// (`deadline`, `max-records`, `max-heap-mb`), read with
+/// [`parse_duration`], [`parse_count`] and [`parse_size_mb`].
+///
+/// # Errors
+///
+/// Fails on the first malformed limit, in that order.
+pub fn parse_limits<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<JobLimits, CliError> {
+    let deadline = get("deadline").map(parse_duration).transpose()?;
+    Ok(JobLimits {
+        deadline_ms: deadline.map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
+        max_records: get("max-records").map(parse_count).transpose()?.map(|n| n as u64),
+        max_heap_mb: get("max-heap-mb").map(parse_size_mb).transpose()?,
+    })
 }
 
 /// Parses a corruption-recovery policy for `--on-corrupt`:

@@ -35,11 +35,11 @@ use std::time::{Duration, Instant};
 
 use nls_core::soak::{run_soak, SoakConfig, WorkerSoakReport};
 use nls_core::{
-    cross, drive_records_supervised, executor_count, fallthrough_way_prediction,
-    install_signal_token, merge_ledger_outcomes, oracle, paper_caches, run_ledger_worker,
-    run_one_supervised, run_sweep, run_sweep_supervised, Budget, CancelToken, Cell, CellState,
-    EngineSpec, Ledger, LedgerFile, NlsError, PenaltyModel, RunError, RunSpec, SimResult,
-    StopReason, SweepConfig, BLOCK_RECORDS, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
+    drive_records_supervised, executor_count, fallthrough_way_prediction, install_signal_token,
+    merge_ledger_outcomes, oracle, run_ledger_worker, run_one_supervised, run_sweep,
+    run_sweep_supervised, Budget, CancelToken, Cell, CellState, JobKind, JobLimits, Ledger,
+    LedgerFile, NlsError, PenaltyModel, RunError, RunSpec, SimResult, StopReason, SweepConfig,
+    BLOCK_RECORDS, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
 };
 use nls_cost::access_time::{btb_access_ns, tagless_access_ns, TimingProcess};
 use nls_cost::rbe::{btb_rbe, nls_cache_rbe, nls_table_rbe, CacheGeometry};
@@ -50,8 +50,8 @@ use nls_trace::{
 };
 
 use crate::args::{
-    parse_benches, parse_cache, parse_count, parse_duration, parse_engine,
-    parse_recovery_policy, parse_size_mb, CliError, ParsedArgs,
+    job_runs, job_spec, parse_benches, parse_cache, parse_count, parse_engines, parse_limits,
+    parse_recovery_policy, sweep_config, CliError, ParsedArgs,
 };
 
 /// Splits trace-layer failures into their true classes: an
@@ -64,7 +64,8 @@ fn trace_err(e: TraceFileError) -> NlsError {
     }
 }
 
-/// The help text (also shown on `nls help`).
+/// The help text (also shown on `nls help`). Each entry names exactly
+/// the options its command accepts.
 pub const USAGE: &str = "\
 nls — next cache line and set prediction simulator (Calder & Grunwald, ISCA 1995)
 
@@ -77,11 +78,14 @@ USAGE:
                 [--ledger <FILE> [--resume] [--workers N] [--lease-ms 5000]
                 [--max-attempts 3]]
                 [--deadline 30s] [--max-records 1m] [--max-heap-mb N] [--csv]
+  nls sweep-worker --ledger <FILE> [--worker-id w0] [--workers 1]
+                --bench <NAME|all> [--cache 16K:1]... [--engine btb:128:1]...
+                [--len 2m] [--seed N]
+                [--deadline 30s] [--max-records 1m] [--max-heap-mb N]
   nls soak      [--cases 6] [--seed N] [--len 20k] [--faults 4]
-                [--max-stall-ms 2] [--deadline 10s] [--max-records N]
-                [--kill-workers [--workers 3] [--kills 1] [--lease-ms 300]
-                [--hold-ms 2]]
-                [--server [--clients 6] [--requests 3] [--stalls 2]]
+                [--deadline 10s] [--max-records N]
+  nls soak      --kill-workers [--workers 3] [--kills 1] [--seed N]
+  nls soak      --server [--seed N] [--stalls 2]
   nls serve     [--addr 127.0.0.1] [--port 8080] [--jobs 4] [--queue 16]
                 [--state-dir DIR] [--resume] [--len 2m] [--seed N]
                 [--max-deadline 60s] [--max-records N] [--max-heap-mb N]
@@ -90,8 +94,8 @@ USAGE:
   nls costs     [--cache-kb 8,16,32,64]
   nls gen-trace --bench <NAME> --out <FILE> [--len 2m] [--seed N]
   nls replay    --trace <FILE> [--cache 16K:1] [--engine nls-table:1024]...
-                [--on-corrupt fail|skip|skip:N|truncate]
-  nls set-pred  --bench <NAME|all> [--cache 16K:2] [--len 2m]
+                [--on-corrupt fail|skip|skip:N|truncate] [--csv]
+  nls set-pred  --bench <NAME|all> [--cache 16K:2] [--len 2m] [--seed N]
   nls help
 
 ENGINES: btb:ENTRIES:ASSOC | nls-table:ENTRIES | nls-cache:PREDS | johnson:PREDS
@@ -103,90 +107,119 @@ EXIT CODES: 0 ok | 2 usage | 3 corrupt trace | 4 failed run
             8 work ledger (lease/lock failure; completed cells stay in the ledger)
 ";
 
-fn default_engines() -> Vec<EngineSpec> {
-    vec![EngineSpec::btb(128, 1), EngineSpec::nls_table(1024)]
+/// The options and switches each [`USAGE`] entry accepts (`...`: may
+/// repeat): the lists [`ParsedArgs::expect_only`] checks.
+const OPTIONS: [(&str, &[&str]); 12] = [
+    (
+        "simulate",
+        &[
+            "bench",
+            "cache",
+            "engine...",
+            "len",
+            "seed",
+            "csv",
+            "deadline",
+            "max-records",
+            "max-heap-mb",
+        ],
+    ),
+    (
+        "sweep",
+        &[
+            "bench",
+            "cache...",
+            "engine...",
+            "len",
+            "seed",
+            "csv",
+            "resume",
+            "workers",
+            "ledger",
+            "lease-ms",
+            "max-attempts",
+            "deadline",
+            "max-records",
+            "max-heap-mb",
+        ],
+    ),
+    (
+        "sweep-worker",
+        &[
+            "ledger",
+            "worker-id",
+            "workers",
+            "bench",
+            "cache...",
+            "engine...",
+            "len",
+            "seed",
+            "deadline",
+            "max-records",
+            "max-heap-mb",
+        ],
+    ),
+    ("soak", &["cases", "seed", "len", "faults", "deadline", "max-records"]),
+    ("soak --kill-workers", &["kill-workers", "workers", "kills", "seed"]),
+    ("soak --server", &["server", "seed", "stalls"]),
+    (
+        "serve",
+        &[
+            "addr",
+            "port",
+            "jobs",
+            "queue",
+            "state-dir",
+            "resume",
+            "len",
+            "seed",
+            "max-deadline",
+            "max-records",
+            "max-heap-mb",
+            "io-timeout",
+        ],
+    ),
+    ("table1", &["len", "seed"]),
+    ("costs", &["cache-kb"]),
+    ("gen-trace", &["bench", "out", "len", "seed"]),
+    ("replay", &["trace", "cache", "engine...", "on-corrupt", "csv"]),
+    ("set-pred", &["bench", "cache", "len", "seed"]),
+];
+
+/// Refuses an option or switch the [`USAGE`] entry `entry` (an
+/// [`OPTIONS`] key) does not name.
+pub(crate) fn expect_options(a: &ParsedArgs, entry: &str) -> Result<(), CliError> {
+    a.expect_only(OPTIONS.iter().find(|(key, _)| *key == entry).map_or(&[], |(_, opts)| opts))
 }
 
-fn sweep_config(a: &ParsedArgs) -> Result<SweepConfig, CliError> {
-    let trace_len = match a.get("len") {
-        Some(s) => parse_count(s)?,
-        None => 2_000_000,
-    };
-    let seed = match a.get("seed") {
-        Some(s) => s.parse().map_err(|_| CliError(format!("bad seed {s:?}")))?,
-        None => 0x0b5e_55ed,
-    };
-    Ok(SweepConfig { trace_len, seed })
-}
-
-fn engines_from(a: &ParsedArgs) -> Result<Vec<EngineSpec>, CliError> {
-    let specs = a.get_all("engine");
-    if specs.is_empty() {
-        return Ok(default_engines());
-    }
-    specs.iter().map(|s| parse_engine(s)).collect()
-}
-
-/// Builds the command's [`Budget`] from `--deadline`,
-/// `--max-records` and `--max-heap-mb`, with `cancel` (usually the
-/// signal token) wired in.
-fn budget_from(a: &ParsedArgs, cancel: CancelToken) -> Result<Budget, CliError> {
-    let mut budget = Budget::unlimited().with_cancel(cancel);
-    if let Some(s) = a.get("deadline") {
-        budget = budget.with_deadline(parse_duration(s)?);
-    }
-    if let Some(s) = a.get("max-records") {
-        budget = budget.with_max_records(parse_count(s)? as u64);
-    }
-    if let Some(s) = a.get("max-heap-mb") {
-        budget = budget.with_max_heap_bytes(parse_size_mb(s)?.saturating_mul(1024 * 1024));
-    }
-    Ok(budget)
-}
-
-/// What to do about the cells of `runs` that `--max-heap-mb` refuses,
-/// or `None` when it refuses none. A refusal depends only on a cell's
-/// geometry (its engine state, [`RunSpec::state_bytes`], against the
-/// limit, the rule the sweep workers apply), so every rerun refuses the
-/// same cells: only a larger budget, or a grid without them, finishes.
-fn heap_refusals(a: &ParsedArgs, runs: &[RunSpec]) -> Result<Option<String>, CliError> {
-    let Some(mb) = a.get("max-heap-mb") else { return Ok(None) };
-    let heap =
-        Budget::unlimited().with_max_heap_bytes(parse_size_mb(mb)?.saturating_mul(1024 * 1024));
+/// What to do about the cells of `runs` that the heap limit of
+/// `limits` refuses, or `None` when it refuses none. A refusal depends
+/// only on a cell's geometry (its engine state, [`RunSpec::state_bytes`],
+/// against the limit, the rule the sweep workers apply), so every rerun
+/// refuses the same cells: only a larger budget, or a grid without
+/// them, finishes.
+fn heap_refusals(limits: &JobLimits, runs: &[RunSpec]) -> Option<String> {
+    let mb = limits.max_heap_mb?;
+    let heap = JobLimits { max_heap_mb: Some(mb), ..JobLimits::default() };
+    let heap = heap.budget(CancelToken::new());
     let refused: Vec<String> = runs
         .iter()
         .filter(|run| heap.check(0, run.state_bytes()).is_err())
         .map(RunSpec::key)
         .collect();
-    Ok((!refused.is_empty()).then(|| {
+    (!refused.is_empty()).then(|| {
         format!(
             "--max-heap-mb {mb} refuses {} on every run: raise it or drop those geometries",
             refused.join(", ")
         )
-    }))
-}
-
-/// The (benchmark × cache) × engines grid and sweep config shared by
-/// `sweep` and its `sweep-worker` children — both sides must derive
-/// the identical grid from the same flags, or the workers would
-/// claim cells that do not exist in their own run list.
-fn sweep_grid(a: &ParsedArgs) -> Result<(Vec<RunSpec>, SweepConfig), CliError> {
-    let benches = parse_benches(a.get("bench").unwrap_or("all"))?;
-    let caches = {
-        let specs = a.get_all("cache");
-        if specs.is_empty() {
-            paper_caches()
-        } else {
-            specs.iter().map(|s| parse_cache(s)).collect::<Result<Vec<_>, _>>()?
-        }
-    };
-    let engines = engines_from(a)?;
-    Ok((cross(&benches, &caches, &engines), sweep_config(a)?))
+    })
 }
 
 /// The lease/retry knobs of a distributed sweep: `--lease-ms`
 /// (milliseconds a claim stays valid without a heartbeat) and
 /// `--max-attempts` (claims per cell before it is marked failed).
+/// `nls sweep --ledger` writes them into the ledger file, which every
+/// worker reads them from.
 fn ledger_knobs(a: &ParsedArgs) -> Result<(u64, u64), CliError> {
     let positive = |flag: &str, s: &str| -> Result<u64, CliError> {
         match s.parse::<u64>() {
@@ -224,19 +257,10 @@ pub(crate) fn send_signal(_pid: u32, _sig: i32) {}
 
 /// The spec/budget flags a parent sweep forwards verbatim to its
 /// `sweep-worker` children, so every process derives the identical
-/// run grid and budget.
-const FORWARDED_FLAGS: [&str; 10] = [
-    "bench",
-    "cache",
-    "engine",
-    "len",
-    "seed",
-    "deadline",
-    "max-records",
-    "max-heap-mb",
-    "lease-ms",
-    "max-attempts",
-];
+/// run grid and budget. The lease length and attempt count are not
+/// among them: the ledger file carries both.
+const FORWARDED_FLAGS: [&str; 8] =
+    ["bench", "cache", "engine", "len", "seed", "deadline", "max-records", "max-heap-mb"];
 
 /// `--workers`: how many worker processes share the ledger (1..=64,
 /// `default` when not given).
@@ -406,7 +430,7 @@ fn sweep_distributed(
     // the ledger exists: a usage error must leave nothing behind.
     let workers = sweep_workers(a, runs)?;
     let (lease_ms, max_attempts) = ledger_knobs(a)?;
-    budget_from(a, CancelToken::new())?;
+    let limits = parse_limits(|name| a.get(name))?;
     let file = LedgerFile::new(&path);
     file.init(
         Ledger::new(cfg, lease_ms, max_attempts, runs.iter().map(RunSpec::key)),
@@ -429,7 +453,7 @@ fn sweep_distributed(
     // The workers are gone: fold their journal into one snapshot
     // before merging, so the ledger left behind reads one line per cell.
     let ledger = file.compact(&CancelToken::new())?;
-    let then = match heap_refusals(a, runs)? {
+    let then = match heap_refusals(&limits, runs) {
         Some(refused) => {
             format!("{refused}; completed cells are in the ledger at {}", path.display())
         }
@@ -441,41 +465,32 @@ fn sweep_distributed(
     render_merged(merge_ledger_outcomes(runs, &ledger), a, token.is_cancelled(), stop, &then)
 }
 
-/// `nls sweep-worker`: one claiming worker of a durable sweep.
-/// Spawned by `nls sweep --ledger`, but safe to point at any
-/// ledger by hand — it claims cells, renews its leases by heartbeat,
-/// reclaims orphans left by dead peers, and exits once the ledger is
-/// drained. Its summary goes to stderr; its stdout belongs to the
-/// parent (the `nls` binary prints an interruption's reason there, for
-/// the parent to report, instead of an error of its own).
+/// `nls sweep-worker`: one claiming worker of a durable sweep. It
+/// claims cells, renews its leases by heartbeat, reclaims orphans left
+/// by dead peers, and exits once the ledger is drained; the lease
+/// length and attempt count are the ledger file's. `nls sweep --ledger`
+/// spawns it with the sweep's grid and budget flags and its worker
+/// count. A worker run by hand must be given the grid flags of the
+/// sweep that made the ledger, `--len` and `--seed` included: a cell
+/// outside its grid is a ledger error, but nothing checks its walk
+/// against the ledger's. Its summary goes to stderr; its stdout belongs
+/// to the parent (the `nls` binary prints an interruption's reason
+/// there, for the parent to report, instead of an error of its own).
 ///
 /// # Errors
 ///
-/// Fails on malformed options, a ledger that does not match the
-/// sweep grid, or with [`NlsError::Interrupted`] when stopped by
-/// signal or budget.
+/// Fails on malformed options, a missing ledger or one whose cells are
+/// not the sweep grid's, or with [`NlsError::Interrupted`] when
+/// stopped by signal or budget.
 pub fn sweep_worker(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&[
-        "ledger",
-        "worker-id",
-        "bench",
-        "cache...",
-        "engine...",
-        "len",
-        "seed",
-        "lease-ms",
-        "max-attempts",
-        "deadline",
-        "max-records",
-        "max-heap-mb",
-        "workers",
-    ])?;
+    expect_options(a, "sweep-worker")?;
     let path = a.get("ledger").ok_or(CliError("--ledger is required".into()))?;
     let worker = a.get("worker-id").unwrap_or("w0").to_string();
     let workers = ledger_workers(a, 1)?;
-    let (runs, cfg) = sweep_grid(a)?;
+    let spec = job_spec(a)?;
+    let (runs, cfg) = (job_runs(JobKind::Sweep, &spec)?, spec.config());
     let token = install_signal_token();
-    let budget = budget_from(a, token.clone())?;
+    let budget = parse_limits(|name| a.get(name))?.budget(token);
     let file = LedgerFile::new(path);
     let report = run_ledger_worker(&runs, &cfg, &budget, &file, &worker, workers)?;
     eprintln!(
@@ -540,30 +555,17 @@ fn result_block(results: &[SimResult], csv: bool) -> String {
 /// Fails on malformed options, or with [`NlsError::Interrupted`]
 /// when a signal stopped the run.
 pub fn simulate(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&[
-        "bench",
-        "cache",
-        "engine...",
-        "len",
-        "seed",
-        "csv",
-        "deadline",
-        "max-records",
-        "max-heap-mb",
-    ])?;
-    let benches = parse_benches(a.get("bench").unwrap_or("all"))?;
-    let cache = parse_cache(a.get("cache").unwrap_or("16K:1"))?;
-    let engines = engines_from(a)?;
-    let cfg = sweep_config(a)?;
+    expect_options(a, "simulate")?;
+    let spec = job_spec(a)?;
+    let (runs, cfg) = (job_runs(JobKind::Simulate, &spec)?, spec.config());
     let token = install_signal_token();
-    let budget = budget_from(a, token.clone())?;
+    let budget = parse_limits(|name| a.get(name))?.budget(token.clone());
     let mut results = Vec::new();
     let mut notes = Vec::new();
-    for bench in benches {
-        let spec = RunSpec { bench, cache, engines: engines.clone() };
-        let outcome = run_one_supervised(&spec, &cfg, &budget);
+    for run in &runs {
+        let outcome = run_one_supervised(run, &cfg, &budget);
         if let Some(reason) = outcome.stop_reason() {
-            notes.push(format!("note: {} stopped early: {reason}", spec.bench.name));
+            notes.push(format!("note: {} stopped early: {reason}", run.bench.name));
         }
         results.extend(outcome.into_results());
     }
@@ -597,23 +599,9 @@ pub fn simulate(a: &ParsedArgs) -> Result<String, NlsError> {
 /// retries, or with [`NlsError::Interrupted`] when stopped by signal
 /// or budget.
 pub fn sweep(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&[
-        "bench",
-        "cache...",
-        "engine...",
-        "len",
-        "seed",
-        "csv",
-        "resume",
-        "workers",
-        "ledger",
-        "lease-ms",
-        "max-attempts",
-        "deadline",
-        "max-records",
-        "max-heap-mb",
-    ])?;
-    let (runs, cfg) = sweep_grid(a)?;
+    expect_options(a, "sweep")?;
+    let spec = job_spec(a)?;
+    let (runs, cfg) = (job_runs(JobKind::Sweep, &spec)?, spec.config());
     if let Some(path) = a.get("ledger") {
         return sweep_distributed(a, &runs, &cfg, PathBuf::from(path));
     }
@@ -624,16 +612,16 @@ pub fn sweep(a: &ParsedArgs) -> Result<String, NlsError> {
         return Err(CliError(format!("--{flag} needs --ledger <FILE>")).into());
     }
 
+    let limits = parse_limits(|name| a.get(name))?;
     let token = install_signal_token();
-    let budget = budget_from(a, token.clone())?;
-    let outcomes = run_sweep_supervised(&runs, &cfg, &budget, None)?;
+    let outcomes = run_sweep_supervised(&runs, &cfg, &limits.budget(token.clone()), None)?;
     // In memory, only a stop leaves cells unfinished, and each carries
     // its reason.
     let stop = outcomes.iter().find_map(|o| match o {
         Err(RunError::Interrupted { reason, .. }) => Some(reason.clone()),
         _ => None,
     });
-    let then = heap_refusals(a, &runs)?
+    let then = heap_refusals(&limits, &runs)
         .unwrap_or_else(|| "rerun with --ledger <FILE> to make sweeps resumable".to_string());
     render_merged(outcomes, a, token.is_cancelled(), stop, &then)
 }
@@ -655,15 +643,7 @@ pub fn soak(a: &ParsedArgs) -> Result<String, NlsError> {
     if a.has_switch("server") {
         return crate::serve::soak_server(a);
     }
-    a.expect_only(&[
-        "cases",
-        "seed",
-        "len",
-        "faults",
-        "max-stall-ms",
-        "deadline",
-        "max-records",
-    ])?;
+    expect_options(a, "soak")?;
     let mut cfg = SoakConfig::quick();
     let int = |s: &str| -> Result<u64, CliError> {
         s.parse().map_err(|_| CliError(format!("bad number {s:?}")))
@@ -680,15 +660,10 @@ pub fn soak(a: &ParsedArgs) -> Result<String, NlsError> {
     if let Some(s) = a.get("faults") {
         cfg.faults_per_case = parse_count(s)?;
     }
-    if let Some(s) = a.get("max-stall-ms") {
-        cfg.max_stall_millis = int(s)?;
-    }
-    if let Some(s) = a.get("deadline") {
-        cfg.deadline = Some(parse_duration(s)?);
-    }
-    if let Some(s) = a.get("max-records") {
-        cfg.max_records = Some(parse_count(s)? as u64);
-    }
+    // A case keeps the quick matrix's deadline unless given one.
+    let limits = parse_limits(|name| a.get(name))?;
+    cfg.limits =
+        JobLimits { deadline_ms: limits.deadline_ms.or(cfg.limits.deadline_ms), ..limits };
     let report = run_soak(&cfg);
     let out = report.render();
     if report.is_healthy() {
@@ -724,7 +699,7 @@ pub fn soak(a: &ParsedArgs) -> Result<String, NlsError> {
 /// landed, or the drill leaves cells behind, diverges from the
 /// reference, or violates the oracle.
 fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&["kill-workers", "workers", "kills", "seed", "len", "lease-ms", "hold-ms"])?;
+    expect_options(a, "soak --kill-workers")?;
     let int = |flag: &str, s: &str| -> Result<u64, CliError> {
         s.parse().map_err(|_| CliError(format!("bad --{flag} {s:?}")))
     };
@@ -750,29 +725,22 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
         Some(s) => int("seed", s)?,
         None => 0x0dd5_0a4b,
     };
-    let trace_len: usize = match a.get("len") {
-        Some(s) => parse_count(s)?,
-        None => 150_000,
-    };
-    let lease_ms = match a.get("lease-ms") {
-        Some(s) => int("lease-ms", s)?.max(1),
-        None => 300,
-    };
-    let hold_ms = match a.get("hold-ms") {
-        Some(s) => int("hold-ms", s)?,
-        None => 2,
-    };
+    // Deliberately short leases, and every locked ledger section held
+    // this long in the children (injected lock contention).
+    let (lease_ms, hold_ms) = (300, 2);
 
     // The fixed drill grid: all six benchmarks over two cache shapes
-    // and one engine — twelve cells, enough that every worker owns
-    // several and a killed worker always abandons leased work for
-    // the survivors to reclaim. The workers get it as sweep flags.
+    // and one engine at 150k records — twelve cells, enough that every
+    // worker owns several and a killed worker always abandons leased
+    // work for the survivors to reclaim. The workers get it as sweep
+    // flags.
     let grid = format!(
-        "sweep --bench all --cache 8K:1 --cache 8K:4 --engine nls-table:512 --len {trace_len} \
+        "sweep --bench all --cache 8K:1 --cache 8K:4 --engine nls-table:512 --len 150k \
          --seed {seed}"
     );
     let grid = ParsedArgs::parse(grid.split_whitespace())?;
-    let (runs, cfg) = sweep_grid(&grid)?;
+    let spec = job_spec(&grid)?;
+    let (runs, cfg) = (job_runs(JobKind::Sweep, &spec)?, spec.config());
 
     // The single-process reference, computed in this process.
     let reference = run_sweep(&runs, &cfg);
@@ -802,8 +770,8 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
     // once. Waiting for a lease, not a timer, makes every kill orphan
     // leased work however fast the build drains the grid.
     let mut waiting: Vec<u64> = Vec::new();
-    for fault in ChaosScheduler::new(seed).kill_plan(workers as u64, kills, lease_ms) {
-        if let RuntimeFault::WorkerKill { victim, .. } = fault {
+    for fault in ChaosScheduler::new(seed).kill_plan(workers as u64, kills) {
+        if let RuntimeFault::WorkerKill { victim } = fault {
             if !waiting.contains(&victim) {
                 waiting.push(victim);
             }
@@ -943,7 +911,7 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
 ///
 /// Fails on malformed options.
 pub fn table1(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&["len", "seed"])?;
+    expect_options(a, "table1")?;
     let cfg = sweep_config(a)?;
     let mut out = String::new();
     let _ = writeln!(
@@ -995,7 +963,7 @@ pub fn table1(a: &ParsedArgs) -> Result<String, NlsError> {
 ///
 /// Fails on malformed options.
 pub fn costs(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&["cache-kb"])?;
+    expect_options(a, "costs")?;
     let kbs: Vec<u64> = match a.get("cache-kb") {
         Some(s) => s
             .split(',')
@@ -1053,7 +1021,7 @@ pub fn costs(a: &ParsedArgs) -> Result<String, NlsError> {
 ///
 /// Fails on malformed options or I/O errors.
 pub fn gen_trace(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&["bench", "out", "len", "seed"])?;
+    expect_options(a, "gen-trace")?;
     let mut benches =
         parse_benches(a.get("bench").ok_or(CliError("--bench is required".into()))?)?;
     if benches.len() != 1 {
@@ -1085,11 +1053,11 @@ pub fn gen_trace(a: &ParsedArgs) -> Result<String, NlsError> {
 /// Fails on malformed options, unreadable or corrupt traces
 /// (beyond what the policy absorbs), or I/O errors.
 pub fn replay(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&["trace", "cache", "engine...", "csv", "on-corrupt"])?;
+    expect_options(a, "replay")?;
     let path = a.get("trace").ok_or(CliError("--trace is required".into()))?;
     let policy = parse_recovery_policy(a.get("on-corrupt").unwrap_or("fail"))?;
     let cache = parse_cache(a.get("cache").unwrap_or("16K:1"))?;
-    let engines = engines_from(a)?;
+    let engines = parse_engines(&a.get_all("engine"))?;
     let mut reader = TraceReader::open(path, policy).map_err(trace_err)?;
     let mut cell = Cell::new(cache, &engines);
     // The first decode error the policy does not absorb ends the
@@ -1126,7 +1094,7 @@ pub fn replay(a: &ParsedArgs) -> Result<String, NlsError> {
 ///
 /// Fails on malformed options.
 pub fn set_pred(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&["bench", "cache", "len", "seed"])?;
+    expect_options(a, "set-pred")?;
     let benches = parse_benches(a.get("bench").unwrap_or("all"))?;
     let cache = parse_cache(a.get("cache").unwrap_or("16K:2"))?;
     let cfg = sweep_config(a)?;
@@ -1221,6 +1189,7 @@ mod tests {
         for cmd in [
             "simulate",
             "sweep",
+            "sweep-worker",
             "soak",
             "serve",
             "table1",
@@ -1232,6 +1201,50 @@ mod tests {
             assert!(h.contains(cmd), "usage should mention {cmd}");
         }
         assert!(h.contains("7 interrupted"), "usage should document exit code 7");
+    }
+
+    /// Each `nls help` entry names exactly the options its command
+    /// accepts, and marks exactly the repeatable ones with `...`.
+    #[test]
+    fn help_names_exactly_the_options_each_command_accepts() {
+        let body =
+            USAGE.split_once("USAGE:\n").and_then(|(_, u)| u.split_once("\n\n")).unwrap().0;
+        let mut entries: Vec<String> = Vec::new();
+        for line in body.lines() {
+            match line.strip_prefix("  nls ") {
+                Some(start) => entries.push(start.to_string()),
+                None => entries.last_mut().unwrap().push_str(line),
+            }
+        }
+        let mut covered = Vec::new();
+        for entry in entries.iter().filter(|e| e.as_str() != "help") {
+            let words: Vec<&str> = entry.split_whitespace().collect();
+            // The longest key the entry starts with: `soak --server`, not `soak`.
+            let (key, accepted) = OPTIONS
+                .iter()
+                .filter(|(key, _)| words.join(" ").starts_with(&format!("{key} ")))
+                .max_by_key(|(key, _)| key.len())
+                .unwrap_or_else(|| panic!("no OPTIONS key for `nls {entry}`"));
+            let mut named: Vec<String> = Vec::new();
+            for (i, word) in words.iter().enumerate() {
+                let Some(name) = word.trim_start_matches('[').strip_prefix("--") else {
+                    continue;
+                };
+                // A bracketed option repeats when its bracket closes with `]...`.
+                let close = words[i..].iter().find(|w| w.contains(']'));
+                let repeats =
+                    word.starts_with('[') && close.is_some_and(|w| w.ends_with("]..."));
+                let name = name.trim_end_matches(']');
+                named.push(if repeats { format!("{name}...") } else { name.to_string() });
+            }
+            let mut accepted: Vec<String> = accepted.iter().map(|o| o.to_string()).collect();
+            named.sort();
+            accepted.sort();
+            assert_eq!(named, accepted, "`nls {key}`: help vs accepted options");
+            covered.push(*key);
+        }
+        let keys: Vec<&str> = OPTIONS.iter().map(|(key, _)| *key).collect();
+        assert_eq!(covered, keys, "one help entry per OPTIONS key, in order");
     }
 
     #[test]
@@ -1265,7 +1278,7 @@ mod tests {
         let args = |extra: &[&'static str]| {
             ParsedArgs::parse(sweep.iter().chain(extra).copied()).unwrap()
         };
-        let (runs, _) = sweep_grid(&args(&[])).unwrap();
+        let runs = job_runs(JobKind::Sweep, &job_spec(&args(&[])).unwrap()).unwrap();
         assert_eq!(runs.len(), 6, "li over the six paper caches");
         let forwarded = |a: &ParsedArgs, workers: usize| -> Vec<String> {
             let cmd = worker_command(Path::new("nls"), a, Path::new("/tmp/x.json"), 0, workers);
@@ -1387,18 +1400,7 @@ mod tests {
 
     #[test]
     fn soak_quick_matrix_is_healthy() {
-        let out = run(&[
-            "soak",
-            "--cases",
-            "2",
-            "--len",
-            "10k",
-            "--faults",
-            "3",
-            "--max-stall-ms",
-            "1",
-        ])
-        .unwrap();
+        let out = run(&["soak", "--cases", "2", "--len", "10k", "--faults", "3"]).unwrap();
         assert!(out.contains("soak: 2 cases"), "{out}");
         assert!(out.contains("healthy=yes"), "{out}");
     }

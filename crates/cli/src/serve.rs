@@ -45,19 +45,17 @@ use nls_core::serve::{
 };
 use nls_core::soak::ServeSoakReport;
 use nls_core::{
-    cross, install_signal_token, json_string, merge_ledger_outcomes, oracle, paper_caches,
-    run_ledger_worker, run_one, AdmitOutcome, Budget, CancelToken, EngineSpec, Job, JobKind,
-    JobLimits, JobSpec, JobStatus, Ledger, LedgerFile, NlsError, Registry, ResultCache,
-    RunError, RunSpec, SimResult, SweepConfig, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
+    install_signal_token, json_string, merge_ledger_outcomes, oracle, run_ledger_worker,
+    run_one, AdmitOutcome, CancelToken, Job, JobKind, JobLimits, JobStatus, Ledger, LedgerFile,
+    NlsError, Registry, ResultCache, RunError, RunSpec, SimResult, SweepConfig,
+    DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
 };
-use nls_icache::CacheConfig;
 use nls_trace::faults::{ChaosScheduler, RuntimeFault};
 
 use crate::args::{
-    parse_benches, parse_cache, parse_count, parse_duration, parse_engine, parse_size_mb,
-    CliError, ParsedArgs,
+    job_runs, parse_count, parse_duration, parse_limits, sweep_config, CliError, ParsedArgs,
 };
-use crate::commands::send_signal;
+use crate::commands::{expect_options, send_signal};
 
 /// Connection-handler threads allowed at once; excess connections
 /// are refused with 503 before a request is even read.
@@ -91,10 +89,6 @@ struct ServerConfig {
     resume: bool,
 }
 
-fn duration_ms(d: Duration) -> u64 {
-    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
-}
-
 fn server_config(a: &ParsedArgs) -> Result<ServerConfig, CliError> {
     let host = a.get("addr").unwrap_or("127.0.0.1");
     let port: u16 = match a.get("port") {
@@ -109,26 +103,10 @@ fn server_config(a: &ParsedArgs) -> Result<ServerConfig, CliError> {
         Some(s) => parse_count(s)?,
         None => 16,
     };
-    let trace_len = match a.get("len") {
-        Some(s) => parse_count(s)?,
-        None => 2_000_000,
-    };
-    let seed = match a.get("seed") {
-        Some(s) => s.parse().map_err(|_| CliError(format!("bad seed {s:?}")))?,
-        None => 0x0b5e_55ed,
-    };
-    let deadline_ms = match a.get("max-deadline") {
-        Some(s) => Some(duration_ms(parse_duration(s)?)),
-        None => None,
-    };
-    let max_records = match a.get("max-records") {
-        Some(s) => Some(parse_count(s)? as u64),
-        None => None,
-    };
-    let max_heap_mb = match a.get("max-heap-mb") {
-        Some(s) => Some(parse_size_mb(s)?),
-        None => None,
-    };
+    let defaults = sweep_config(a)?;
+    // The policy's deadline flag is `--max-deadline`.
+    let policy =
+        parse_limits(|name| a.get(if name == "deadline" { "max-deadline" } else { name }))?;
     let io_timeout = match a.get("io-timeout") {
         Some(s) => parse_duration(s)?,
         None => Duration::from_secs(5),
@@ -138,8 +116,8 @@ fn server_config(a: &ParsedArgs) -> Result<ServerConfig, CliError> {
         jobs,
         queue_cap,
         state_dir: PathBuf::from(a.get("state-dir").unwrap_or("nls-serve-state")),
-        defaults: SweepConfig { trace_len, seed },
-        policy: JobLimits { deadline_ms, max_records, max_heap_mb },
+        defaults,
+        policy,
         io_timeout,
         resume: a.has_switch("resume"),
     })
@@ -178,20 +156,7 @@ struct ServeCtx {
 /// and — by design — with [`NlsError::Interrupted`] (exit 7) when a
 /// signal drains the server.
 pub fn serve(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&[
-        "addr",
-        "port",
-        "jobs",
-        "queue",
-        "state-dir",
-        "len",
-        "seed",
-        "max-deadline",
-        "max-records",
-        "max-heap-mb",
-        "io-timeout",
-        "resume",
-    ])?;
+    expect_options(a, "serve")?;
     let cfg = server_config(a)?;
     let token = install_signal_token();
     run_server(cfg, token)
@@ -335,6 +300,12 @@ struct Request {
 impl Request {
     fn header(&self, name: &str) -> Option<&str> {
         self.headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+    }
+
+    /// The job limits the `x-nls-*` headers ask for, read by the
+    /// budget flags' parser.
+    fn limits(&self) -> Result<JobLimits, CliError> {
+        parse_limits(|name| self.header(&format!("x-nls-{name}")))
     }
 }
 
@@ -481,45 +452,6 @@ fn route(ctx: &ServeCtx, stream: &mut TcpStream, req: &Request) {
     }
 }
 
-/// Per-job limits from request headers, using the same grammars as
-/// the CLI budget flags.
-fn limits_from_headers(req: &Request) -> Result<JobLimits, CliError> {
-    let deadline_ms = match req.header("x-nls-deadline") {
-        Some(v) => Some(duration_ms(parse_duration(v)?)),
-        None => None,
-    };
-    let max_records = match req.header("x-nls-max-records") {
-        Some(v) => Some(parse_count(v)? as u64),
-        None => None,
-    };
-    let max_heap_mb = match req.header("x-nls-max-heap-mb") {
-        Some(v) => Some(parse_size_mb(v)?),
-        None => None,
-    };
-    Ok(JobLimits { deadline_ms, max_records, max_heap_mb })
-}
-
-/// Expands a validated [`JobSpec`] into its run grid, defaulting the
-/// way the CLI does: one 16K direct cache for simulate, the paper's
-/// six caches for sweep, the BTB + NLS-table engine pair.
-fn grid_from_spec(kind: JobKind, spec: &JobSpec) -> Result<Vec<RunSpec>, CliError> {
-    let benches = parse_benches(&spec.bench)?;
-    let caches: Vec<CacheConfig> = if spec.caches.is_empty() {
-        match kind {
-            JobKind::Simulate => vec![parse_cache("16K:1")?],
-            JobKind::Sweep => paper_caches(),
-        }
-    } else {
-        spec.caches.iter().map(|s| parse_cache(s)).collect::<Result<Vec<_>, _>>()?
-    };
-    let engines: Vec<EngineSpec> = if spec.engines.is_empty() {
-        vec![EngineSpec::btb(128, 1), EngineSpec::nls_table(1024)]
-    } else {
-        spec.engines.iter().map(|s| parse_engine(s)).collect::<Result<Vec<_>, _>>()?
-    };
-    Ok(cross(&benches, &caches, &engines))
-}
-
 /// Every cell of `runs` from the cache, or `None` on any miss.
 fn cached_cells(
     ctx: &ServeCtx,
@@ -536,11 +468,11 @@ fn handle_submit(ctx: &ServeCtx, stream: &mut TcpStream, kind: JobKind, req: &Re
         Ok(spec) => spec,
         Err(e) => return bad_request(stream, &e.to_string()),
     };
-    let runs = match grid_from_spec(kind, &spec) {
+    let runs = match job_runs(kind, &spec) {
         Ok(runs) => runs,
         Err(CliError(msg)) => return bad_request(stream, &format!("bad request body: {msg}")),
     };
-    let limits = match limits_from_headers(req) {
+    let limits = match req.limits() {
         Ok(limits) => limits,
         Err(CliError(msg)) => {
             return bad_request(stream, &format!("bad request header: {msg}"))
@@ -702,7 +634,7 @@ fn job_json(ctx: &ServeCtx, job: &Job) -> String {
 }
 
 fn hydrated_results(ctx: &ServeCtx, job: &Job) -> Option<String> {
-    let runs = grid_from_spec(job.kind, &job.spec).ok()?;
+    let runs = job_runs(job.kind, &job.spec).ok()?;
     let cells = cached_cells(ctx, &runs, &job.spec.config())?;
     Some(render_job_results(&cells))
 }
@@ -728,20 +660,6 @@ fn persist(ctx: &ServeCtx, id: u64) {
     }
 }
 
-fn budget_for(limits: &JobLimits, token: CancelToken) -> Budget {
-    let mut budget = Budget::unlimited().with_cancel(token);
-    if let Some(ms) = limits.deadline_ms {
-        budget = budget.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(n) = limits.max_records {
-        budget = budget.with_max_records(n);
-    }
-    if let Some(mb) = limits.max_heap_mb {
-        budget = budget.with_max_heap_bytes(mb.saturating_mul(1024 * 1024));
-    }
-    budget
-}
-
 /// Runs one claimed job under supervision: full-cache-hit
 /// short-circuit, else the cell grid through a per-job ledger (so a
 /// crash resumes cell-by-cell), then publish. A tripped budget
@@ -749,7 +667,7 @@ fn budget_for(limits: &JobLimits, token: CancelToken) -> Budget {
 /// exponential backoff up to [`MAX_JOB_RETRIES`] times.
 fn run_claimed(ctx: &ServeCtx, worker: &str, job: Job) {
     let cfg = job.spec.config();
-    let runs = match grid_from_spec(job.kind, &job.spec) {
+    let runs = match job_runs(job.kind, &job.spec) {
         Ok(runs) => runs,
         Err(CliError(msg)) => {
             ctx.registry.finish(job.id, Err(format!("bad job spec: {msg}")));
@@ -773,7 +691,7 @@ fn run_claimed(ctx: &ServeCtx, worker: &str, job: Job) {
         persist(ctx, job.id);
         return;
     }
-    let budget = budget_for(&job.limits, ctx.job_token.clone());
+    let budget = job.limits.budget(ctx.job_token.clone());
     match run_ledger_worker(&runs, &cfg, &budget, &file, worker, 1) {
         Ok(_report) => publish(ctx, &job, &runs, &cfg, &file),
         Err(NlsError::Interrupted(reason)) => {
@@ -938,7 +856,7 @@ fn soak_corpus(trace_len: usize, seed: u64) -> Result<Vec<SoakSpec>, NlsError> {
         .into_iter()
         .map(|(kind, body)| {
             let spec = parse_job_request(&body, kind, &defaults)?;
-            let runs = grid_from_spec(kind, &spec)?;
+            let runs = job_runs(kind, &spec)?;
             let cfg = spec.config();
             let cells: Vec<(String, Vec<SimResult>)> =
                 runs.iter().map(|r| (r.key(), run_one(r, &cfg))).collect();
@@ -1257,23 +1175,14 @@ fn wait_exit(child: &mut Child, timeout: Duration) -> Option<std::process::ExitS
 /// drill drops a job, diverges from the reference, sheds without
 /// retry advice, violates the oracle, or fails to drain.
 pub fn soak_server(a: &ParsedArgs) -> Result<String, NlsError> {
-    a.expect_only(&["server", "seed", "clients", "requests", "len", "stalls"])?;
+    expect_options(a, "soak --server")?;
     let seed = match a.get("seed") {
         Some(s) => s.parse().map_err(|_| CliError(format!("bad seed {s:?}")))?,
         None => 0x5e12_7e57,
     };
-    let clients = match a.get("clients") {
-        Some(s) => parse_count(s)?,
-        None => 6,
-    };
-    let requests = match a.get("requests") {
-        Some(s) => parse_count(s)?,
-        None => 3,
-    };
-    let trace_len = match a.get("len") {
-        Some(s) => parse_count(s)?,
-        None => 20_000,
-    };
+    // Six concurrent clients of three submissions each, over 20k-record
+    // jobs (the long sweep walks 40 times as many).
+    let (clients, requests, trace_len) = (6, 3, 20_000);
     let stalls = match a.get("stalls") {
         Some(s) => parse_count(s)?,
         None => 2,
@@ -1448,6 +1357,8 @@ pub fn soak_server(a: &ParsedArgs) -> Result<String, NlsError> {
 
 #[cfg(test)]
 mod tests {
+    use nls_core::JobSpec;
+
     use super::*;
 
     fn parsed(args: &[&str]) -> ParsedArgs {
@@ -1512,7 +1423,7 @@ mod tests {
             ],
             body: String::new(),
         };
-        let limits = limits_from_headers(&req).unwrap();
+        let limits = req.limits().unwrap();
         assert_eq!(limits.deadline_ms, Some(500));
         assert_eq!(limits.max_records, Some(10_000));
         assert_eq!(limits.max_heap_mb, Some(64));
@@ -1523,21 +1434,21 @@ mod tests {
             headers: vec![("x-nls-deadline".into(), "0".into())],
             body: String::new(),
         };
-        assert!(limits_from_headers(&bad).is_err(), "zero deadline is a usage error");
+        assert!(bad.limits().is_err(), "zero deadline is a usage error");
         let bad = Request {
             method: "POST".into(),
             path: "/v1/simulate".into(),
             headers: vec![("x-nls-max-heap-mb".into(), "lots".into())],
             body: String::new(),
         };
-        assert!(limits_from_headers(&bad).is_err(), "non-numeric heap is a usage error");
+        assert!(bad.limits().is_err(), "non-numeric heap is a usage error");
         let bad = Request {
             method: "POST".into(),
             path: "/v1/simulate".into(),
             headers: vec![("x-nls-max-records".into(), "18446744073709552k".into())],
             body: String::new(),
         };
-        let err = limits_from_headers(&bad).unwrap_err();
+        let err = bad.limits().unwrap_err();
         assert!(err.0.contains("too large"), "an overflowing record limit is refused: {err}");
     }
 
@@ -1550,13 +1461,13 @@ mod tests {
             trace_len: 1000,
             seed: 1,
         };
-        let runs = grid_from_spec(JobKind::Simulate, &spec).unwrap();
+        let runs = job_runs(JobKind::Simulate, &spec).unwrap();
         assert_eq!(runs.len(), 1, "simulate defaults to one cache");
         assert_eq!(runs.first().map(|r| r.engines.len()), Some(2));
-        let runs = grid_from_spec(JobKind::Sweep, &spec).unwrap();
+        let runs = job_runs(JobKind::Sweep, &spec).unwrap();
         assert_eq!(runs.len(), 6, "sweep defaults to the paper's six caches");
         let bad = JobSpec { bench: "nope".into(), ..spec };
-        assert!(grid_from_spec(JobKind::Simulate, &bad).is_err());
+        assert!(job_runs(JobKind::Simulate, &bad).is_err());
     }
 
     #[test]

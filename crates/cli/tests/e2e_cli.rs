@@ -119,6 +119,10 @@ fn usage_errors_exit_two_with_stderr_diagnostics() {
         &["sweep", "--bench", "li", "--len", "10k", "--checkpoint", l][..],
         &repeated[..],
         &["simulate", "--bench", "li", "--len", "1k", "--len", "2k"][..],
+        // Drill options that are fixed now.
+        &["soak", "--max-stall-ms", "1"][..],
+        &["soak", "--kill-workers", "--lease-ms", "100"][..],
+        &["soak", "--server", "--clients", "2"][..],
     ];
     for args in cases.into_iter().chain(bogus.iter().map(|a| &a[..])) {
         let out = nls(args);
@@ -481,11 +485,37 @@ fn a_record_budget_interrupts_a_sweep_in_memory_and_through_a_ledger() {
         let err = stderr(&out);
         assert_eq!(err.lines().filter(|l| l.starts_with("error[")).count(), 1, "{err}");
         assert_eq!(err.lines().filter(|l| l.starts_with("note:")).count(), 1, "{err}");
-        assert!(err.starts_with("error[interrupted]:"), "{err}");
-        assert!(err.contains("sweep stopped after 0/1 cells"), "{err}");
+        // The class is printed once, not again at the message's head.
+        let first = err.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error[interrupted]: sweep stopped after 0/1 cells"),
+            "{err}"
+        );
         assert!(err.contains("record budget of 100 trace records exhausted"), "{err}");
     }
     let _ = std::fs::remove_file(&ledger);
+}
+
+/// A `sweep-worker` reads its lease length and attempt count from the
+/// ledger file, so it refuses both as options; pointed at a ledger that
+/// was never made, it says so with the ledger class (exit 8) and makes
+/// none.
+#[test]
+fn sweep_worker_refuses_lease_options_and_names_a_missing_ledger() {
+    let ledger = temp_path("never-made-ledger.json");
+    let l = ledger.to_str().unwrap();
+    for (flag, value) in [("--lease-ms", "7"), ("--max-attempts", "9")] {
+        let out = nls(&["sweep-worker", "--ledger", l, "--bench", "li", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        let want = format!("error[usage]: unknown option {flag} for `sweep-worker`");
+        assert_eq!(stderr(&out).lines().next(), Some(want.as_str()));
+    }
+    let out = nls(&["sweep-worker", "--ledger", l, "--bench", "li", "--len", "10k"]);
+    assert_eq!(out.status.code(), Some(8), "{}", stderr(&out));
+    let want = format!("error[ledger]: {l} does not exist");
+    assert_eq!(stderr(&out).lines().next(), Some(want.as_str()));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert!(!ledger.exists(), "a worker never makes a ledger");
 }
 
 #[test]

@@ -894,8 +894,7 @@ impl LedgerFile {
             return Ok(out);
         }
         let _lock = self.acquire_lock(cancel)?;
-        let mut cached =
-            self.load_locked()?.ok_or_else(|| self.missing("disappeared mid-sweep"))?;
+        let mut cached = self.load_locked()?.ok_or_else(|| self.missing("does not exist"))?;
         let before = cached.ledger.header();
         let out = f(&mut cached.ledger);
         if let Some(line) = cached.ledger.take_journal_line(before) {

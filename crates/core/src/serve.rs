@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crate::budget::CancelToken;
+use crate::budget::{Budget, CancelToken};
 use crate::error::NlsError;
 use crate::json::{field, json_string, parse_result, take_field, write_result, Json};
 use crate::ledger::{write_atomic, Ledger};
@@ -145,7 +145,7 @@ impl JobKind {
 /// admission, so a queued spec always parses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
-    /// Bench selector (`all`, a name, or a comma list).
+    /// Bench selector: `all` or one benchmark's name.
     pub bench: String,
     /// Cache selectors (`8K:1` style); empty means the server
     /// default.
@@ -166,8 +166,10 @@ impl JobSpec {
     }
 }
 
-/// Per-job resource limits: request headers clamped to server
-/// policy. `None` means unlimited on that axis.
+/// The limits a job runs under, however it was asked for: the budget
+/// flags of `nls simulate`/`sweep`/`sweep-worker`, a serve request's
+/// headers clamped to server policy, or a chaos soak's case limits.
+/// `None` means unlimited on that axis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobLimits {
     /// Wall-clock deadline in milliseconds.
@@ -194,6 +196,22 @@ impl JobLimits {
             max_records: tighter(self.max_records, policy.max_records),
             max_heap_mb: tighter(self.max_heap_mb, policy.max_heap_mb),
         }
+    }
+
+    /// The [`Budget`] these limits describe, observing `cancel`: the
+    /// one place a job's limits become a budget.
+    pub fn budget(&self, cancel: CancelToken) -> Budget {
+        let mut budget = Budget::unlimited().with_cancel(cancel);
+        if let Some(ms) = self.deadline_ms {
+            budget = budget.with_deadline(Duration::from_millis(ms));
+        }
+        if let Some(n) = self.max_records {
+            budget = budget.with_max_records(n);
+        }
+        if let Some(mb) = self.max_heap_mb {
+            budget = budget.with_max_heap_bytes(mb.saturating_mul(1024 * 1024));
+        }
+        budget
     }
 }
 

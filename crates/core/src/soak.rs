@@ -4,8 +4,9 @@
 //! A soak case synthesises a workload, splices a seeded
 //! [`RuntimeFault`] plan (read stalls, mid-stream I/O failures) into
 //! its read path with [`ChaosStream`], and drives all four fetch
-//! engines under a [`Budget`]. The harness then *classifies* what
-//! happened — and the classification is the robustness contract:
+//! engines through the production block loop under the budget of its
+//! [`JobLimits`]. The harness then *classifies* what happened — and
+//! the classification is the robustness contract:
 //!
 //! * [`SoakVerdict::Complete`] — the whole trace was simulated;
 //! * [`SoakVerdict::Degraded`] — a budget limit tripped and the
@@ -18,16 +19,19 @@
 //! fault plan (see [`ChaosScheduler`]), so any failing case can be
 //! replayed from its seed alone.
 
-use std::time::Duration;
-
 use nls_icache::CacheConfig;
 use nls_trace::faults::{ChaosScheduler, ChaosStream, RuntimeFault};
-use nls_trace::{synthesize, BenchProfile, GenConfig, Walker};
+use nls_trace::{synthesize, BenchProfile, GenConfig, TraceRecord, Walker};
 
-use crate::budget::{Budget, StopReason};
+use crate::budget::{CancelToken, StopReason};
 use crate::front_end::Cell;
 use crate::oracle::invariant_violations;
+use crate::serve::JobLimits;
 use crate::spec::EngineSpec;
+use crate::supervisor::{drive_records_supervised, BLOCK_RECORDS};
+
+/// Upper bound on a single injected read stall, in milliseconds.
+const MAX_STALL_MILLIS: u64 = 2;
 
 /// How hard a soak run leans on the simulator.
 #[derive(Debug, Clone)]
@@ -40,12 +44,8 @@ pub struct SoakConfig {
     pub trace_len: usize,
     /// Runtime faults planned per case.
     pub faults_per_case: usize,
-    /// Upper bound on a single injected stall.
-    pub max_stall_millis: u64,
-    /// Wall-clock deadline per case (deadline pressure).
-    pub deadline: Option<Duration>,
-    /// Record budget per case.
-    pub max_records: Option<u64>,
+    /// Each case's limits: deadline pressure, a record budget.
+    pub limits: JobLimits,
 }
 
 impl SoakConfig {
@@ -57,9 +57,7 @@ impl SoakConfig {
             base_seed: 1,
             trace_len: 20_000,
             faults_per_case: 4,
-            max_stall_millis: 2,
-            deadline: Some(Duration::from_secs(10)),
-            max_records: None,
+            limits: JobLimits { deadline_ms: Some(10_000), ..JobLimits::default() },
         }
     }
 }
@@ -353,7 +351,7 @@ pub fn run_case(cfg: &SoakConfig, seed: u64) -> SoakCase {
     let plan = ChaosScheduler::new(seed).plan(
         cfg.trace_len as u64,
         cfg.faults_per_case,
-        cfg.max_stall_millis,
+        MAX_STALL_MILLIS,
     );
     execute_case(cfg, seed, plan)
 }
@@ -369,45 +367,33 @@ fn soak_engines() -> [EngineSpec; 4] {
     ]
 }
 
-fn case_budget(cfg: &SoakConfig) -> Budget {
-    let mut budget = Budget::unlimited();
-    if let Some(deadline) = cfg.deadline {
-        budget = budget.with_deadline(deadline);
-    }
-    if let Some(max) = cfg.max_records {
-        budget = budget.with_max_records(max);
-    }
-    budget
-}
-
+/// Drives the case's chaos stream through the production block loop
+/// ([`drive_records_supervised`]). A block ends at an injected I/O
+/// error, which is reported once the loop has stepped the records
+/// before it; a budget that stops the loop first wins, and a stream
+/// that errors exactly where the record limit lands completes its
+/// records and fails cleanly, as any stream ending there completes.
 fn execute_case(cfg: &SoakConfig, seed: u64, plan: Vec<RuntimeFault>) -> SoakCase {
     let benches = BenchProfile::all();
     let bench = benches[(seed % benches.len() as u64) as usize].clone();
     let gen_cfg = GenConfig::for_profile(&bench);
     let program = synthesize(&bench, &gen_cfg);
-    let walker = Walker::new(&program, seed);
+    let mut stream = ChaosStream::new(Walker::new(&program, seed).take(cfg.trace_len), plan);
     let mut cell = Cell::new(CacheConfig::paper(8, 1), &soak_engines());
-    let budget = case_budget(cfg);
-
-    let heap = cell.approx_heap_bytes();
-    let mut done: u64 = 0;
-    let mut verdict = SoakVerdict::Complete;
-    for item in ChaosStream::new(walker.take(cfg.trace_len), plan) {
-        if let Err(reason) = budget.check(done, heap) {
-            verdict = SoakVerdict::Degraded(reason);
-            break;
-        }
-        match item {
-            Ok(r) => {
-                cell.step(&r);
-                done += 1;
-            }
-            Err(e) => {
-                verdict = SoakVerdict::FailedCleanly(e.to_string());
-                break;
-            }
-        }
-    }
+    let mut failure = None;
+    let fill = |block: &mut Vec<TraceRecord>| {
+        let items = stream.by_ref().take(BLOCK_RECORDS);
+        block.extend(
+            items.map_while(|item| item.map_err(|e| failure = Some(e.to_string())).ok()),
+        );
+    };
+    let stop =
+        drive_records_supervised(fill, &mut cell, &cfg.limits.budget(CancelToken::new()));
+    let verdict = match (stop, failure) {
+        (Some(reason), _) => SoakVerdict::Degraded(reason),
+        (None, Some(msg)) => SoakVerdict::FailedCleanly(msg),
+        (None, None) => SoakVerdict::Complete,
+    };
 
     let results = cell.results(bench.name);
     let oracle_findings = results.iter().flat_map(invariant_violations).collect();
@@ -415,13 +401,15 @@ fn execute_case(cfg: &SoakConfig, seed: u64, plan: Vec<RuntimeFault>) -> SoakCas
         seed,
         bench: bench.name.to_string(),
         verdict,
-        instructions: done,
+        instructions: results.first().map_or(0, |r| r.instructions),
         oracle_findings,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     fn tiny() -> SoakConfig {
@@ -430,10 +418,12 @@ mod tests {
             base_seed: 10,
             trace_len: 5_000,
             faults_per_case: 0,
-            max_stall_millis: 1,
-            deadline: None,
-            max_records: None,
+            limits: JobLimits::default(),
         }
+    }
+
+    fn records(limit: u64) -> JobLimits {
+        JobLimits { max_records: Some(limit), ..JobLimits::default() }
     }
 
     #[test]
@@ -457,8 +447,28 @@ mod tests {
     }
 
     #[test]
+    fn an_io_error_where_the_record_limit_lands_fails_cleanly() {
+        // The block loop's rule: a stream that ends where a limit lands
+        // completes its records, so the error is what ends the case.
+        let cfg = SoakConfig { limits: records(1_000), ..tiny() };
+        let plan = vec![RuntimeFault::IoError { after_records: 1_000 }];
+        let case = execute_case(&cfg, 10, plan);
+        assert!(matches!(case.verdict, SoakVerdict::FailedCleanly(_)), "{:?}", case.verdict);
+        assert_eq!(case.instructions, 1_000);
+        assert!(case.oracle_findings.is_empty(), "{:?}", case.oracle_findings);
+        // An error one record past the limit: the limit stops it first.
+        let plan = vec![RuntimeFault::IoError { after_records: 1_001 }];
+        let case = execute_case(&cfg, 10, plan);
+        assert_eq!(
+            case.verdict,
+            SoakVerdict::Degraded(StopReason::RecordLimit { limit: 1_000 })
+        );
+        assert_eq!(case.instructions, 1_000);
+    }
+
+    #[test]
     fn record_budget_degrades_with_valid_partial_counters() {
-        let cfg = SoakConfig { max_records: Some(1_000), ..tiny() };
+        let cfg = SoakConfig { limits: records(1_000), ..tiny() };
         let case = run_case(&cfg, 11);
         assert_eq!(
             case.verdict,
@@ -474,7 +484,7 @@ mod tests {
         // stall plan must stop within deadline + 1 s.
         let cfg = SoakConfig {
             trace_len: 500_000,
-            deadline: Some(Duration::from_millis(30)),
+            limits: JobLimits { deadline_ms: Some(30), ..JobLimits::default() },
             ..tiny()
         };
         let plan = vec![RuntimeFault::ReadStall { after_records: 10, millis: 100 }];

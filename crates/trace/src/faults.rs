@@ -176,17 +176,15 @@ pub enum RuntimeFault {
         /// Records yielded before the error hits.
         after_records: u64,
     },
-    /// SIGKILL worker process `victim` of a multi-process sweep,
-    /// `after_millis` of wall clock into the run — the fault a work
-    /// ledger's lease/reclamation protocol exists to absorb. A
-    /// process-level fault: [`ChaosStream`] ignores it (nothing
-    /// happens at the record level), the soak orchestrator executes
-    /// it against its worker pool.
+    /// SIGKILL worker process `victim` of a multi-process sweep once
+    /// it holds a lease — the fault a work ledger's lease/reclamation
+    /// protocol exists to absorb. A process-level fault:
+    /// [`ChaosStream`] ignores it (nothing happens at the record
+    /// level), the soak orchestrator executes it against its worker
+    /// pool.
     WorkerKill {
         /// Zero-based index of the worker to kill.
         victim: u64,
-        /// Milliseconds after sweep start at which the kill fires.
-        after_millis: u64,
     },
     /// Open a connection to a server under test, send a *partial*
     /// request, then hold the socket open for `hold_ms` without
@@ -205,15 +203,16 @@ pub enum RuntimeFault {
 
 impl RuntimeFault {
     /// The trigger point the fault sorts by: a record count for
-    /// stream faults, milliseconds of wall clock for process faults.
-    /// Plans mix units only within their own kind ([`ChaosScheduler`]
-    /// plans stream faults and worker kills separately).
+    /// stream faults, milliseconds of wall clock for a client stall,
+    /// and none (0) for a worker kill, which fires on a lease, not a
+    /// timer. Plans mix units only within their own kind
+    /// ([`ChaosScheduler`] plans each kind separately).
     pub fn trigger_at(&self) -> u64 {
         match *self {
             RuntimeFault::ReadStall { after_records, .. }
             | RuntimeFault::IoError { after_records } => after_records,
-            RuntimeFault::WorkerKill { after_millis, .. }
-            | RuntimeFault::ClientStall { after_millis, .. } => after_millis,
+            RuntimeFault::ClientStall { after_millis, .. } => after_millis,
+            RuntimeFault::WorkerKill { .. } => 0,
         }
     }
 }
@@ -275,32 +274,17 @@ impl ChaosScheduler {
 
     /// A kill of one of `workers` worker processes (never worker 0,
     /// so a multi-process sweep always keeps one survivor to reclaim
-    /// the victims' cells) within the first `max_delay_ms` of the
-    /// run.
-    pub fn worker_kill(&mut self, workers: u64, max_delay_ms: u64) -> RuntimeFault {
+    /// the victims' cells).
+    pub fn worker_kill(&mut self, workers: u64) -> RuntimeFault {
         let victim = if workers > 1 { 1 + self.rng.next_u64() % (workers - 1) } else { 0 };
-        RuntimeFault::WorkerKill {
-            victim,
-            after_millis: self.rng.next_u64() % max_delay_ms.max(1),
-        }
+        RuntimeFault::WorkerKill { victim }
     }
 
     /// A plan of `kills` seeded [`RuntimeFault::WorkerKill`]s against
-    /// a pool of `workers`, sorted by firing time. Like every chaos
-    /// plan, identical seeds produce identical kill schedules.
-    pub fn kill_plan(
-        &mut self,
-        workers: u64,
-        kills: usize,
-        max_delay_ms: u64,
-    ) -> Vec<RuntimeFault> {
-        // nls-lint: allow(unchecked-capacity): `kills` is a caller-chosen plan size, single digits in every harness
-        let mut out = Vec::with_capacity(kills);
-        for _ in 0..kills {
-            out.push(self.worker_kill(workers, max_delay_ms));
-        }
-        out.sort_by_key(RuntimeFault::trigger_at);
-        out
+    /// a pool of `workers`, in draw order. Like every chaos plan,
+    /// identical seeds produce identical kill plans.
+    pub fn kill_plan(&mut self, workers: u64, kills: usize) -> Vec<RuntimeFault> {
+        (0..kills).map(|_| self.worker_kill(workers)).collect()
     }
 
     /// A plan of `stalls` seeded [`RuntimeFault::ClientStall`]s:
@@ -507,15 +491,14 @@ mod tests {
 
     #[test]
     fn kill_plans_are_reproducible_and_spare_worker_zero() {
-        let a = ChaosScheduler::new(7).kill_plan(4, 6, 300);
-        let b = ChaosScheduler::new(7).kill_plan(4, 6, 300);
+        let a = ChaosScheduler::new(7).kill_plan(4, 6);
+        let b = ChaosScheduler::new(7).kill_plan(4, 6);
         assert_eq!(a, b);
-        assert!(a.windows(2).all(|w| w[0].trigger_at() <= w[1].trigger_at()), "plan is sorted");
+        assert_eq!(a.len(), 6);
         for fault in &a {
             match fault {
-                RuntimeFault::WorkerKill { victim, after_millis } => {
+                RuntimeFault::WorkerKill { victim } => {
                     assert!((1..4).contains(victim), "worker 0 must always survive");
-                    assert!(*after_millis < 300);
                 }
                 other => panic!("kill plans hold only WorkerKill faults, got {other:?}"),
             }
@@ -566,8 +549,8 @@ mod tests {
     fn single_worker_kill_plan_targets_the_only_worker() {
         // Degenerate fleet: with one worker there is no survivor to
         // spare, and the caller gets victim 0 back unrounded.
-        match ChaosScheduler::new(1).worker_kill(1, 100) {
-            RuntimeFault::WorkerKill { victim, .. } => assert_eq!(victim, 0),
+        match ChaosScheduler::new(1).worker_kill(1) {
+            RuntimeFault::WorkerKill { victim } => assert_eq!(victim, 0),
             other => panic!("want WorkerKill, got {other:?}"),
         }
     }
@@ -577,7 +560,7 @@ mod tests {
         let records: Vec<_> = (0..5)
             .map(|i| crate::TraceRecord::sequential(crate::Addr::new(0x100 + i * 4)))
             .collect();
-        let plan = vec![RuntimeFault::WorkerKill { victim: 1, after_millis: 0 }];
+        let plan = vec![RuntimeFault::WorkerKill { victim: 1 }];
         let got: Result<Vec<_>, _> =
             ChaosStream::new(records.clone().into_iter(), plan).collect();
         assert_eq!(got.unwrap(), records, "process faults never touch the record stream");

@@ -24,33 +24,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use nls_bench::{ablations, extensions, figures, ledger_path, sweep_config, Experiment, Table};
+use nls_bench::{figures, ledger_path, sweep_config, Experiment, Table, STAGES};
 use nls_core::{
     install_signal_token, run_sweep_supervised, Budget, Ledger, LedgerFile, NlsError, RunError,
     RunSpec, SimResult, DEFAULT_LEASE_MS, DEFAULT_MAX_ATTEMPTS,
 };
-
-/// Every stage, in the order the pipeline runs and prints them.
-const STAGES: [(&str, Experiment); 18] = [
-    ("table1", figures::TABLE1),
-    ("fig3_rbe", figures::FIG3_RBE),
-    ("fig4_nls_bep", figures::FIG4_NLS_BEP),
-    ("fig5_btb_bep", figures::FIG5_BTB_BEP),
-    ("fig6_access_time", figures::FIG6_ACCESS_TIME),
-    ("fig7_per_program", figures::FIG7_PER_PROGRAM),
-    ("fig8_cpi", figures::FIG8_CPI),
-    ("attribution", ablations::ATTRIBUTION),
-    ("ablation_johnson", ablations::ABLATION_JOHNSON),
-    ("ablation_pht", ablations::ABLATION_PHT),
-    ("ablation_nls_cache_layout", ablations::ABLATION_NLS_CACHE_LAYOUT),
-    ("ablation_btb_policy", ablations::ABLATION_BTB_POLICY),
-    ("ablation_trace_len", ablations::ABLATION_TRACE_LEN),
-    ("ablation_penalties", ablations::ABLATION_PENALTIES),
-    ("ext_code_layout", extensions::EXT_CODE_LAYOUT),
-    ("ext_wide_issue", extensions::EXT_WIDE_ISSUE),
-    ("ext_type_predictor", extensions::EXT_TYPE_PREDICTOR),
-    ("ext_set_prediction", extensions::EXT_SET_PREDICTION),
-];
 
 /// The runs of a grid stage; none for a stage that simulates alone.
 fn grid_runs(stage: &Experiment) -> Vec<RunSpec> {

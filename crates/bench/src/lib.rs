@@ -102,6 +102,29 @@ impl Experiment {
     }
 }
 
+/// Every stage, by the name of its binary, in the order `repro_all`
+/// runs and prints them.
+pub const STAGES: [(&str, Experiment); 18] = [
+    ("table1", figures::TABLE1),
+    ("fig3_rbe", figures::FIG3_RBE),
+    ("fig4_nls_bep", figures::FIG4_NLS_BEP),
+    ("fig5_btb_bep", figures::FIG5_BTB_BEP),
+    ("fig6_access_time", figures::FIG6_ACCESS_TIME),
+    ("fig7_per_program", figures::FIG7_PER_PROGRAM),
+    ("fig8_cpi", figures::FIG8_CPI),
+    ("attribution", ablations::ATTRIBUTION),
+    ("ablation_johnson", ablations::ABLATION_JOHNSON),
+    ("ablation_pht", ablations::ABLATION_PHT),
+    ("ablation_nls_cache_layout", ablations::ABLATION_NLS_CACHE_LAYOUT),
+    ("ablation_btb_policy", ablations::ABLATION_BTB_POLICY),
+    ("ablation_trace_len", ablations::ABLATION_TRACE_LEN),
+    ("ablation_penalties", ablations::ABLATION_PENALTIES),
+    ("ext_code_layout", extensions::EXT_CODE_LAYOUT),
+    ("ext_wide_issue", extensions::EXT_WIDE_ISSUE),
+    ("ext_type_predictor", extensions::EXT_TYPE_PREDICTOR),
+    ("ext_set_prediction", extensions::EXT_SET_PREDICTION),
+];
+
 /// The `main` of a stage binary: runs `stage` on its own at
 /// [`sweep_config`] and emits its report.
 pub fn stage_main(stage: Experiment) {
@@ -261,8 +284,9 @@ impl Table {
     }
 }
 
-/// Formats a float with `digits` decimals (helper for table rows).
-pub fn fmt(x: f64, digits: usize) -> String {
+/// Formats a number (an `f64`, [`nls_cost::Rbe`] or
+/// [`nls_cost::Nanos`]) with `digits` decimals (helper for table rows).
+pub fn fmt(x: impl std::fmt::Display, digits: usize) -> String {
     format!("{x:.digits$}")
 }
 
@@ -299,6 +323,102 @@ mod tests {
     #[test]
     fn fmt_rounds() {
         assert_eq!(fmt(1.23456, 3), "1.235");
+    }
+
+    /// What keeps the stages from being the reproduction DESIGN.md
+    /// promises: a binary in `src/bin/` (`bins`, `repro_all` left out)
+    /// that is not one of `stages`, or a stage without a binary; a stage
+    /// `design` never names, or a `figN_*`/`tableN_*` stage it names on
+    /// no line that says `Fig N`/`Table N`; a server counter it never
+    /// names. Empty when they agree.
+    fn registry_drift(
+        stages: &[&str],
+        bins: &[String],
+        design: &str,
+        counters: &[&str],
+    ) -> Vec<String> {
+        let mut drift = Vec::new();
+        for bin in bins.iter().filter(|bin| !stages.contains(&bin.as_str())) {
+            drift.push(format!("src/bin/{bin}.rs is not a stage in STAGES"));
+        }
+        for &stage in stages {
+            if !bins.iter().any(|bin| bin == stage) {
+                drift.push(format!("stage {stage} has no binary src/bin/{stage}.rs"));
+            }
+            let lines: Vec<&str> = design.lines().filter(|l| l.contains(stage)).collect();
+            let label =
+                [("fig", "Fig"), ("table", "Table")].iter().find_map(|(prefix, word)| {
+                    let digits: String = stage
+                        .strip_prefix(prefix)?
+                        .chars()
+                        .take_while(char::is_ascii_digit)
+                        .collect();
+                    (!digits.is_empty()).then(|| format!("{word} {digits}"))
+                });
+            if lines.is_empty() {
+                drift.push(format!("DESIGN.md never names stage {stage}"));
+            } else if let Some(label) = label.filter(|l| !lines.iter().any(|x| x.contains(l))) {
+                drift.push(format!(
+                    "DESIGN.md names stage {stage} on no line that says {label}"
+                ));
+            }
+        }
+        for counter in counters.iter().filter(|c| !design.contains(*c)) {
+            drift.push(format!("DESIGN.md never names server counter {counter}"));
+        }
+        drift
+    }
+
+    #[test]
+    fn every_stage_has_a_binary_and_design_md_names_it_and_every_server_counter() {
+        let stages: Vec<&str> = STAGES.iter().map(|(name, _)| *name).collect();
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+        let mut bins = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("src/bin/ is listable") {
+            let path = entry.expect("src/bin/ entries are readable").path();
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("UTF-8 file names");
+            if stem != "repro_all" {
+                bins.push(stem.to_string());
+            }
+        }
+        let design = include_str!("../../../DESIGN.md");
+        let drift = registry_drift(&stages, &bins, design, &nls_core::SERVER_COUNTERS);
+        assert!(drift.is_empty(), "the stage registry drifted:\n  {}", drift.join("\n  "));
+    }
+
+    #[test]
+    fn registry_drift_names_each_way_the_registry_can_drift() {
+        let stages = ["fig3_rbe", "ablation_pht"];
+        let bins: Vec<String> = stages.iter().map(|s| s.to_string()).collect();
+        let design = "| **Fig 3** | RBE costs | `fig3_rbe` |\n\
+                      * PHT flavour — `ablation_pht`.\n\
+                      Counters: `jobs_shed`.\n";
+        let counters = ["jobs_shed"];
+        assert_eq!(registry_drift(&stages, &bins, design, &counters), Vec::<String>::new());
+
+        let orphan = [bins.clone(), vec!["fig9_orphan".to_string()]].concat();
+        assert_eq!(
+            registry_drift(&stages, &orphan, design, &counters),
+            ["src/bin/fig9_orphan.rs is not a stage in STAGES"]
+        );
+        assert_eq!(
+            registry_drift(&stages, &bins[..1], design, &counters),
+            ["stage ablation_pht has no binary src/bin/ablation_pht.rs"]
+        );
+        let renumbered = design.replace("Fig 3", "Fig 4");
+        assert_eq!(
+            registry_drift(&stages, &bins, &renumbered, &counters),
+            ["DESIGN.md names stage fig3_rbe on no line that says Fig 3"]
+        );
+        let unnamed = design.replace("`ablation_pht`", "the PHT ablation");
+        assert_eq!(
+            registry_drift(&stages, &bins, &unnamed, &counters),
+            ["DESIGN.md never names stage ablation_pht"]
+        );
+        assert_eq!(
+            registry_drift(&stages, &bins, design, &["jobs_shed", "jobs_lost"]),
+            ["DESIGN.md never names server counter jobs_lost"]
+        );
     }
 
     #[test]

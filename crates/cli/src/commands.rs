@@ -472,16 +472,17 @@ fn sweep_distributed(
 /// spawns it with the sweep's grid and budget flags and its worker
 /// count. A worker run by hand must be given the grid flags of the
 /// sweep that made the ledger, `--len` and `--seed` included: a cell
-/// outside its grid is a ledger error, but nothing checks its walk
-/// against the ledger's. Its summary goes to stderr; its stdout belongs
-/// to the parent (the `nls` binary prints an interruption's reason
-/// there, for the parent to report, instead of an error of its own).
+/// outside its grid is a ledger error, and so is a ledger bound to
+/// another trace length or seed, which the worker checks before its
+/// first claim. Its summary goes to stderr; its stdout belongs to the
+/// parent (the `nls` binary prints an interruption's reason there, for
+/// the parent to report, instead of an error of its own).
 ///
 /// # Errors
 ///
-/// Fails on malformed options, a missing ledger or one whose cells are
-/// not the sweep grid's, or with [`NlsError::Interrupted`] when
-/// stopped by signal or budget.
+/// Fails on malformed options, a missing ledger, one bound to another
+/// `--len` or `--seed`, or one whose cells are not the sweep grid's,
+/// or with [`NlsError::Interrupted`] when stopped by signal or budget.
 pub fn sweep_worker(a: &ParsedArgs) -> Result<String, NlsError> {
     expect_options(a, "sweep-worker")?;
     let path = a.get("ledger").ok_or(CliError("--ledger is required".into()))?;
@@ -492,6 +493,14 @@ pub fn sweep_worker(a: &ParsedArgs) -> Result<String, NlsError> {
     let token = install_signal_token();
     let budget = parse_limits(|name| a.get(name))?.budget(token);
     let file = LedgerFile::new(path);
+    let bound = file.read(&budget.cancel_token())?;
+    if !bound.matches(&cfg) {
+        return Err(NlsError::Ledger(format!(
+            "{path} was measured with trace_len={} seed={} but this worker uses \
+             trace_len={} seed={}; give it the --len and --seed of the sweep that made the ledger",
+            bound.trace_len, bound.seed, cfg.trace_len, cfg.seed
+        )));
+    }
     let report = run_ledger_worker(&runs, &cfg, &budget, &file, &worker, workers)?;
     eprintln!(
         "worker {worker}: {} cell(s) completed in {} claim(s) ({} reclaimed), {} failed attempt(s)",
@@ -766,17 +775,17 @@ fn soak_kill_workers(a: &ParsedArgs) -> Result<String, NlsError> {
         Ok((id, cmd.spawn().map_err(NlsError::Io)?, None))
     };
 
-    // The seeded plan picks the victims; a victim drawn twice dies
-    // once. Waiting for a lease, not a timer, makes every kill orphan
-    // leased work however fast the build drains the grid.
-    let mut waiting: Vec<u64> = Vec::new();
-    for fault in ChaosScheduler::new(seed).kill_plan(workers as u64, kills) {
-        if let RuntimeFault::WorkerKill { victim } = fault {
-            if !waiting.contains(&victim) {
-                waiting.push(victim);
-            }
-        }
-    }
+    // The seeded plan picks `kills` distinct victims. Waiting for a
+    // lease, not a timer, makes every kill orphan leased work however
+    // fast the build drains the grid.
+    let mut waiting: Vec<u64> = ChaosScheduler::new(seed)
+        .kill_plan(workers as u64, kills)
+        .into_iter()
+        .filter_map(|fault| match fault {
+            RuntimeFault::WorkerKill { victim } => Some(victim),
+            _ => None,
+        })
+        .collect();
     // The victims start first, and the survivors only once no victim is
     // left to kill: a victim that started late could otherwise find the
     // grid drained by the others and exit without ever holding a lease.

@@ -499,7 +499,8 @@ fn a_record_budget_interrupts_a_sweep_in_memory_and_through_a_ledger() {
 /// A `sweep-worker` reads its lease length and attempt count from the
 /// ledger file, so it refuses both as options; pointed at a ledger that
 /// was never made, it says so with the ledger class (exit 8) and makes
-/// none.
+/// none; pointed at a ledger bound to another trace length, it names
+/// both bindings (exit 8) and leaves the ledger as it was.
 #[test]
 fn sweep_worker_refuses_lease_options_and_names_a_missing_ledger() {
     let ledger = temp_path("never-made-ledger.json");
@@ -516,6 +517,31 @@ fn sweep_worker_refuses_lease_options_and_names_a_missing_ledger() {
     assert_eq!(stderr(&out).lines().next(), Some(want.as_str()));
     assert!(stdout(&out).is_empty(), "{}", stdout(&out));
     assert!(!ledger.exists(), "a worker never makes a ledger");
+
+    let sweep = ["sweep", "--bench", "li", "--cache", "8K:1", "--len", "10k", "--ledger", l];
+    let out = nls(&[&sweep[..], &["--max-records", "100"]].concat());
+    assert_eq!(out.status.code(), Some(7), "{}", stderr(&out));
+    let made = std::fs::read(&ledger).unwrap();
+    let out = nls(&[
+        "sweep-worker",
+        "--ledger",
+        l,
+        "--bench",
+        "li",
+        "--cache",
+        "8K:1",
+        "--len",
+        "20k",
+    ]);
+    assert_eq!(out.status.code(), Some(8), "{}", stderr(&out));
+    let first = stderr(&out).lines().next().unwrap_or_default().to_string();
+    assert!(
+        first.starts_with(&format!("error[ledger]: {l} was measured with trace_len=10000 ")),
+        "{first}"
+    );
+    assert!(first.contains("but this worker uses trace_len=20000 "), "{first}");
+    assert_eq!(std::fs::read(&ledger).unwrap(), made, "a refused worker claims nothing");
+    let _ = std::fs::remove_file(&ledger);
 }
 
 #[test]

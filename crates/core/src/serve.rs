@@ -56,11 +56,10 @@ pub const SHED_RETRY_AFTER_SECS: u64 = 1;
 /// (long: this process is going away; a supervisor must restart it).
 pub const DRAIN_RETRY_AFTER_SECS: u64 = 5;
 
-/// The server's observable counters, in reporting order. This list
-/// is the conformance surface the `artifact-conformance` lint pass
-/// checks against DESIGN.md §8.3 — a counter added here without a
-/// documented row fails the lint, so a future metrics endpoint
-/// cannot drift from the design doc.
+/// The server's observable counters, in reporting order. A unit test
+/// in `nls-bench` checks this list against DESIGN.md §8.3 — a counter
+/// added here without a documented row fails it, so a future metrics
+/// endpoint cannot drift from the design doc.
 pub const SERVER_COUNTERS: [&str; 8] = [
     "cache_hits",
     "cache_misses",

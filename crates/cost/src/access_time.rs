@@ -11,35 +11,37 @@
 //! tag comparison and way-select multiplexing sit on the critical
 //! path instead of proceeding in parallel with data output.
 
+use crate::Nanos;
+
 /// Process-dependent constants, roughly a 0.8 µm CMOS generation
 /// (chosen so a 128-entry direct-mapped BTB lands near 4.5 ns, in
 /// line with the paper's Figure 6).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingProcess {
     /// Fixed front-end overhead (address drivers), ns.
-    pub base_ns: f64,
+    pub base_ns: Nanos,
     /// Decoder: cost per doubling of rows, ns.
-    pub decode_per_bit_ns: f64,
+    pub decode_per_bit_ns: Nanos,
     /// Word-line/bit-line: cost per sqrt of array bits, ns.
-    pub array_ns_per_sqrt_bit: f64,
+    pub array_ns_per_sqrt_bit: Nanos,
     /// Tag comparator: cost per tag bit, ns (serial with data when
     /// the comparison gates way selection).
-    pub compare_per_bit_ns: f64,
+    pub compare_per_bit_ns: Nanos,
     /// Way-select mux: cost per doubling of ways, ns.
-    pub mux_per_way_bit_ns: f64,
+    pub mux_per_way_bit_ns: Nanos,
     /// Output driver, ns.
-    pub output_ns: f64,
+    pub output_ns: Nanos,
 }
 
 impl Default for TimingProcess {
     fn default() -> Self {
         TimingProcess {
-            base_ns: 0.8,
-            decode_per_bit_ns: 0.18,
-            array_ns_per_sqrt_bit: 0.022,
-            compare_per_bit_ns: 0.045,
-            mux_per_way_bit_ns: 0.80,
-            output_ns: 0.6,
+            base_ns: Nanos(0.8),
+            decode_per_bit_ns: Nanos(0.18),
+            array_ns_per_sqrt_bit: Nanos(0.022),
+            compare_per_bit_ns: Nanos(0.045),
+            mux_per_way_bit_ns: Nanos(0.80),
+            output_ns: Nanos(0.6),
         }
     }
 }
@@ -67,7 +69,7 @@ pub fn tagged_access_ns(
     tag_bits: u32,
     assoc: u32,
     process: &TimingProcess,
-) -> f64 {
+) -> Nanos {
     assert!(entries > 0 && assoc > 0, "degenerate geometry");
     assert!(entries >= u64::from(assoc), "fewer entries than ways");
     let rows = entries / u64::from(assoc);
@@ -87,7 +89,7 @@ pub fn tagged_access_ns(
 
 /// Access time (ns) of a BTB in the paper's geometry (30-bit targets
 /// + 2-bit type payload, 32-bit address space).
-pub fn btb_access_ns(entries: u64, assoc: u32, process: &TimingProcess) -> f64 {
+pub fn btb_access_ns(entries: u64, assoc: u32, process: &TimingProcess) -> Nanos {
     let slots = (entries / u64::from(assoc)).max(1);
     let index_bits = slots.next_power_of_two().trailing_zeros();
     let tag_bits = 30u32.saturating_sub(index_bits);
@@ -99,7 +101,7 @@ pub fn btb_access_ns(entries: u64, assoc: u32, process: &TimingProcess) -> f64 {
 /// (the Wilton–Jouppi model has no tag-less mode) but notes it
 /// should resemble a direct-mapped BTB; it comes out slightly
 /// faster, lacking the tag array and comparator.
-pub fn tagless_access_ns(entries: u64, data_bits: u32, process: &TimingProcess) -> f64 {
+pub fn tagless_access_ns(entries: u64, data_bits: u32, process: &TimingProcess) -> Nanos {
     assert!(entries > 0, "degenerate geometry");
     let array_bits = entries as f64 * f64::from(data_bits);
     process.base_ns
@@ -141,9 +143,9 @@ mod tests {
     fn absolute_values_match_figure6_scale() {
         // Figure 6 shows roughly 4-5 ns direct mapped, 6-7 ns 4-way.
         let dm = btb_access_ns(128, 1, &p());
-        assert!((3.5..=5.5).contains(&dm), "128 direct = {dm:.2} ns");
+        assert!((Nanos(3.5)..=Nanos(5.5)).contains(&dm), "128 direct = {dm:.2} ns");
         let w4 = btb_access_ns(256, 4, &p());
-        assert!((5.0..=8.0).contains(&w4), "256 4-way = {w4:.2} ns");
+        assert!((Nanos(5.0)..=Nanos(8.0)).contains(&w4), "256 4-way = {w4:.2} ns");
     }
 
     #[test]

@@ -13,18 +13,20 @@
 //! * 1024-entry NLS-table ≈ 128-entry BTB;
 //! * 256-entry BTB ≈ 2 × 1024-entry NLS-table.
 
-/// Area of one SRAM bit, in register-bit equivalents.
-pub const SRAM_BIT_RBE: f64 = 0.6;
+use crate::Rbe;
+
+/// Area of one SRAM bit.
+pub const SRAM_BIT_RBE: Rbe = Rbe(0.6);
 /// Extra area per way of associative lookup, per *set*, covering the
-/// comparator and way-select multiplexing (RBE per tag bit compared).
-pub const COMPARATOR_BIT_RBE: f64 = 0.3;
+/// comparator and way-select multiplexing (per tag bit compared).
+pub const COMPARATOR_BIT_RBE: Rbe = Rbe(0.3);
 /// Area multiplier for bits held in a *tagged, matched* structure
 /// (BTB) relative to a plain RAM buffer: Mulder et al. charge the
 /// tag path, sense amplifiers, match logic and control of a small
 /// associative buffer at roughly twice the bare RAM-cell area.
 pub const TAGGED_STRUCTURE_FACTOR: f64 = 2.0;
 /// Fixed control/decoder overhead per distinct RAM structure.
-pub const STRUCTURE_OVERHEAD_RBE: f64 = 50.0;
+pub const STRUCTURE_OVERHEAD_RBE: Rbe = Rbe(50.0);
 
 /// Address-space width assumed by the paper's BTB calculations.
 pub const ADDRESS_BITS: u32 = 32;
@@ -85,14 +87,14 @@ pub fn nls_entry_bits(cache: CacheGeometry) -> u32 {
 
 /// RBE cost of an NLS-table with `entries` predictors in front of
 /// `cache`. Tag-less and direct mapped: pure RAM.
-pub fn nls_table_rbe(entries: u64, cache: CacheGeometry) -> f64 {
+pub fn nls_table_rbe(entries: u64, cache: CacheGeometry) -> Rbe {
     entries as f64 * f64::from(nls_entry_bits(cache)) * SRAM_BIT_RBE + STRUCTURE_OVERHEAD_RBE
 }
 
 /// RBE cost of an NLS-cache organisation: `preds_per_line`
 /// predictors attached to every line frame of `cache`. Grows
 /// linearly with cache size (the scalability problem of §6.1).
-pub fn nls_cache_rbe(preds_per_line: u32, cache: CacheGeometry) -> f64 {
+pub fn nls_cache_rbe(preds_per_line: u32, cache: CacheGeometry) -> Rbe {
     let entries = cache.num_lines() * u64::from(preds_per_line);
     entries as f64 * f64::from(nls_entry_bits(cache)) * SRAM_BIT_RBE + STRUCTURE_OVERHEAD_RBE
 }
@@ -110,7 +112,7 @@ pub fn btb_entry_bits(entries: u64, assoc: u32) -> u32 {
 /// RBE cost of a BTB: RAM bits plus per-way comparator overhead on
 /// the tag bits. Depends on the address-space size, *not* on the
 /// instruction cache (§7).
-pub fn btb_rbe(entries: u64, assoc: u32) -> f64 {
+pub fn btb_rbe(entries: u64, assoc: u32) -> Rbe {
     let index_bits = log2_ceil(entries / u64::from(assoc));
     let tag_bits = ADDRESS_BITS - INST_ALIGN_BITS - index_bits;
     let ram = entries as f64

@@ -6,7 +6,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use crate::passes::{all_passes, Analysis, Docs};
+use crate::passes::{all_passes, Analysis};
 use crate::rules::{all_rules, Violation};
 use crate::source::SourceFile;
 
@@ -98,13 +98,9 @@ pub fn lint_sources(files: &[SourceFile]) -> LintReport {
 /// Lints `files` with the rules, then runs the interprocedural
 /// analysis passes on top. `passes` selects which: `None` runs all,
 /// `Some(ids)` only those listed (`Some(&[])` disables them).
-pub fn analyze_sources(
-    files: &[SourceFile],
-    docs: Docs,
-    passes: Option<&[String]>,
-) -> LintReport {
+pub fn analyze_sources(files: &[SourceFile], passes: Option<&[String]>) -> LintReport {
     let mut report = lint_sources(files);
-    let analysis = Analysis::build(files, docs);
+    let analysis = Analysis::build(files);
     let mut found = Vec::new();
     for pass in all_passes() {
         let enabled = passes.is_none_or(|ids| ids.iter().any(|id| id == pass.id()));
@@ -154,7 +150,7 @@ pub fn analyze_workspace(
         let text = fs::read_to_string(root.join(&rel))?;
         files.push(SourceFile::parse(&rel, &text));
     }
-    let mut report = analyze_sources(&files, load_docs(root), passes);
+    let mut report = analyze_sources(&files, passes);
     if let Some(filter) = only {
         report.violations.retain(|v| {
             filter.iter().any(|f| f == &v.file)
@@ -172,12 +168,6 @@ pub fn analyze_workspace(
 /// Same as [`analyze_workspace`].
 pub fn lint_workspace(root: &Path, only: Option<&[String]>) -> io::Result<LintReport> {
     analyze_workspace(root, only, None)
-}
-
-fn load_docs(root: &Path) -> Docs {
-    // nls-lint: allow(fs-trace-read): DESIGN.md is documentation, not trace bytes
-    let design_md = fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
-    Docs { design_md }
 }
 
 /// The `.rs` files changed relative to `git_ref`, for
@@ -312,7 +302,7 @@ pub fn fix_passes(root: &Path) -> io::Result<Vec<String>> {
         let text = fs::read_to_string(root.join(rel))?;
         files.push(SourceFile::parse(rel, &text));
     }
-    let analysis = Analysis::build(&files, load_docs(root));
+    let analysis = Analysis::build(&files);
     let mut fixes: Vec<crate::passes::Fix> = Vec::new();
     for pass in all_passes() {
         fixes.extend(pass.fixes(&analysis));
@@ -431,7 +421,7 @@ mod tests {
             "crates/core/src/engine.rs",
             "impl E { fn step(&mut self) { helper(); } }\nfn helper(x: u64) { assert!(x > 0); }\n",
         )];
-        let report = analyze_sources(&files, crate::passes::Docs::default(), None);
+        let report = analyze_sources(&files, None);
         assert_eq!(report.exit_code(), 18, "{:?}", report.violations);
     }
 
@@ -441,19 +431,11 @@ mod tests {
             "crates/core/src/engine.rs",
             "impl E { fn step(&mut self, x: u64) { assert!(x > 0); } }\n",
         )];
-        let none = analyze_sources(&files, crate::passes::Docs::default(), Some(&[]));
+        let none = analyze_sources(&files, Some(&[]));
         assert_eq!(none.exit_code(), 0, "{:?}", none.violations);
-        let only_det = analyze_sources(
-            &files,
-            crate::passes::Docs::default(),
-            Some(&["determinism".to_string()]),
-        );
+        let only_det = analyze_sources(&files, Some(&["determinism".to_string()]));
         assert_eq!(only_det.exit_code(), 0, "{:?}", only_det.violations);
-        let only_panic = analyze_sources(
-            &files,
-            crate::passes::Docs::default(),
-            Some(&["panic-reach".to_string()]),
-        );
+        let only_panic = analyze_sources(&files, Some(&["panic-reach".to_string()]));
         assert_eq!(only_panic.exit_code(), 18, "{:?}", only_panic.violations);
     }
 
@@ -503,7 +485,7 @@ mod tests {
                 "pub fn helper(x: u64) { assert!(x > 0); }\n",
             ),
         ];
-        let mut report = analyze_sources(&files, crate::passes::Docs::default(), None);
+        let mut report = analyze_sources(&files, None);
         let filter = ["crates/core/src/sweep.rs".to_string()];
         report.violations.retain(|v| {
             filter.iter().any(|f| f == &v.file)

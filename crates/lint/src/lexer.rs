@@ -18,9 +18,9 @@ pub enum TokKind {
     Number,
     /// String-ish literal: `"…"`, `b"…"`, `r#"…"#`, `br"…"`. The
     /// token text is the literal's raw content (quotes stripped,
-    /// escapes left as written) so cross-artifact checks can match
-    /// names mentioned in strings; it is never an `Ident`, so no
-    /// code-matching rule can confuse it with code.
+    /// escapes left as written) so checks can match paths mentioned
+    /// in strings (`fs-durability`'s `results/`); it is never an
+    /// `Ident`, so no code-matching rule can confuse it with code.
     Str,
     /// Character or byte literal: `'x'`, `b'\n'`.
     Char,

@@ -42,7 +42,7 @@ pub use engine::{
     analyze_sources, analyze_workspace, changed_files, fix_suppressions, lint_sources,
     lint_workspace, LintReport,
 };
-pub use passes::{all_passes, Analysis, Docs, Pass};
+pub use passes::{all_passes, Analysis, Pass};
 pub use report::{render, Format};
 pub use rules::{all_rules, PathStep, Rule, Violation};
 pub use source::SourceFile;

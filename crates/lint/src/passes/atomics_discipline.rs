@@ -216,13 +216,12 @@ impl Pass for AtomicsDiscipline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::Docs;
     use crate::source::SourceFile;
 
     fn run(srcs: &[(&str, &str)]) -> Vec<Violation> {
         let sources: Vec<SourceFile> =
             srcs.iter().map(|(rel, text)| SourceFile::parse(rel, text)).collect();
-        let a = Analysis::build(&sources, Docs::default());
+        let a = Analysis::build(&sources);
         let mut out = Vec::new();
         AtomicsDiscipline.check(&a, &mut out);
         out
@@ -242,7 +241,7 @@ mod tests {
         assert!(v.iter().any(|x| x.message.contains("cancel flag `stop` loaded")), "{v:?}");
         let sources: Vec<SourceFile> =
             srcs.iter().map(|(rel, text)| SourceFile::parse(rel, text)).collect();
-        let a = Analysis::build(&sources, Docs::default());
+        let a = Analysis::build(&sources);
         let fixes = AtomicsDiscipline.fixes(&a);
         assert_eq!(fixes.len(), 1);
         assert_eq!((fixes[0].line, fixes[0].from, fixes[0].to), (4, "Relaxed", "SeqCst"));

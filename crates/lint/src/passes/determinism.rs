@@ -87,13 +87,12 @@ impl Pass for Determinism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::Docs;
     use crate::source::SourceFile;
 
     fn run(srcs: &[(&str, &str)]) -> Vec<Violation> {
         let sources: Vec<SourceFile> =
             srcs.iter().map(|(rel, text)| SourceFile::parse(rel, text)).collect();
-        let a = Analysis::build(&sources, Docs::default());
+        let a = Analysis::build(&sources);
         let mut out = Vec::new();
         Determinism.check(&a, &mut out);
         out

@@ -391,12 +391,11 @@ impl Pass for FsDurability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::Docs;
 
     fn run(srcs: &[(&str, &str)]) -> Vec<Violation> {
         let sources: Vec<SourceFile> =
             srcs.iter().map(|(rel, text)| SourceFile::parse(rel, text)).collect();
-        let a = Analysis::build(&sources, Docs::default());
+        let a = Analysis::build(&sources);
         let mut out = Vec::new();
         FsDurability.check(&a, &mut out);
         out

@@ -720,13 +720,12 @@ fn witness(src: &crate::source::SourceFile, steps: &[(u32, String)]) -> Vec<Path
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::Docs;
     use crate::source::SourceFile;
 
     fn run(srcs: &[(&str, &str)]) -> Vec<Violation> {
         let sources: Vec<SourceFile> =
             srcs.iter().map(|(rel, text)| SourceFile::parse(rel, text)).collect();
-        let a = Analysis::build(&sources, Docs::default());
+        let a = Analysis::build(&sources);
         let mut out = Vec::new();
         LockOrder.check(&a, &mut out);
         out

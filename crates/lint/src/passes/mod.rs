@@ -3,18 +3,13 @@
 //!
 //! Where a [`crate::rules::Rule`] sees one file's token stream, a
 //! [`Pass`] sees the whole workspace at once: the per-file item trees
-//! ([`crate::parser`]), the symbol table ([`crate::symbols`]), the
-//! approximate call graph ([`crate::callgraph`]), and the non-Rust
-//! artifacts the repo's conformance contract mentions ([`Docs`]).
-//! Each pass answers one question the lexical layer cannot:
+//! ([`crate::parser`]), the symbol table ([`crate::symbols`]) and the
+//! approximate call graph ([`crate::callgraph`]). Each pass answers one
+//! question the lexical layer cannot:
 //!
 //! * [`panic_reach`] — can an engine entry point reach a panic site?
 //! * [`determinism`] — can a simulation/metrics path observe a
 //!   nondeterministic source (time, RNG, env, thread identity)?
-//! * [`unit_safety`] — does cost-model arithmetic ever add RBE to
-//!   nanoseconds (or bytes) without an explicit conversion?
-//! * [`artifact`] — is every bench binary registered, documented, and
-//!   consistently numbered across DESIGN.md and `repro_all`?
 //! * [`cancellation_reach`] — does every loop on a supervised
 //!   `run*`/`drive*` path poll the budget or cancel token?
 //! * [`atomics_discipline`] — does every atomic field follow the
@@ -34,9 +29,12 @@
 //! * [`stale_waiver`] — does every inline waiver still suppress a
 //!   real finding, or has the code under it moved on?
 //!
-//! Passes share the rules' exit-code protocol (codes 18–26, after the
+//! Passes share the rules' exit-code protocol (codes 18–29, after the
 //! lexical rules) and the same suppression syntax; see DESIGN.md §9
 //! for the catalogue and the soundness caveats of the approximation.
+//! Codes 20 and 21 are retired, not reused: the cost model's units are
+//! the types `nls_cost::Rbe` and `nls_cost::Nanos`, and a unit test in
+//! `nls-bench` checks the stage binaries against DESIGN.md.
 //! The `error-exit-map` rule keeps this table in sync with
 //! [`all_passes`] — edit both together:
 //!
@@ -44,8 +42,6 @@
 //! |------|-----------|
 //! | `panic-reach` | 18 |
 //! | `determinism` | 19 |
-//! | `unit-safety` | 20 |
-//! | `artifact-conformance` | 21 |
 //! | `cancellation-reach` | 22 |
 //! | `atomics-discipline` | 23 |
 //! | `signal-safety` | 24 |
@@ -55,7 +51,6 @@
 //! | `resource-leak` | 28 |
 //! | `stale-waiver` | 29 |
 
-pub mod artifact;
 pub mod atomics_discipline;
 pub mod cancellation_reach;
 pub mod determinism;
@@ -66,7 +61,6 @@ pub mod panic_reach;
 pub mod resource_leak;
 pub mod signal_safety;
 pub mod stale_waiver;
-pub mod unit_safety;
 
 use std::collections::BTreeMap;
 
@@ -111,14 +105,6 @@ pub const ENTRY_FILES: [&str; 11] = [
     "crates/cli/src/serve.rs",
 ];
 
-/// Non-Rust inputs the passes consult (the artifact-conformance
-/// contract spans code and documentation).
-#[derive(Debug, Default)]
-pub struct Docs {
-    /// Full text of the workspace `DESIGN.md` (empty when absent).
-    pub design_md: String,
-}
-
 /// Everything a pass can look at: parsed sources plus the derived
 /// interprocedural structures, built once and shared by all passes.
 pub struct Analysis<'a> {
@@ -126,16 +112,15 @@ pub struct Analysis<'a> {
     pub files: Vec<FileItems>,
     pub symbols: SymbolTable,
     pub graph: CallGraph,
-    pub docs: Docs,
 }
 
 impl<'a> Analysis<'a> {
     /// Parses, indexes, and links `sources` into one analysis input.
-    pub fn build(sources: &'a [SourceFile], docs: Docs) -> Analysis<'a> {
+    pub fn build(sources: &'a [SourceFile]) -> Analysis<'a> {
         let files: Vec<FileItems> = sources.iter().map(FileItems::parse).collect();
         let symbols = SymbolTable::build(&files);
         let graph = CallGraph::build(sources, &files, &symbols);
-        Analysis { sources, files, symbols, graph, docs }
+        Analysis { sources, files, symbols, graph }
     }
 
     /// The reachability roots: non-test functions named `step` or
@@ -228,8 +213,6 @@ pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(panic_reach::PanicReach),
         Box::new(determinism::Determinism),
-        Box::new(unit_safety::UnitSafety),
-        Box::new(artifact::ArtifactConformance),
         Box::new(cancellation_reach::CancellationReach),
         Box::new(atomics_discipline::AtomicsDiscipline),
         Box::new(signal_safety::SignalSafety),
@@ -278,7 +261,7 @@ mod tests {
             ),
             SourceFile::parse("crates/cli/src/main.rs", "fn run_cli() {}\n"),
         ];
-        let a = Analysis::build(&sources, Docs::default());
+        let a = Analysis::build(&sources);
         let names: Vec<String> = a
             .entry_points()
             .iter()

@@ -23,7 +23,7 @@
 use crate::rules::Violation;
 use crate::source::SourceFile;
 
-use super::{all_passes, Analysis, Docs, Pass};
+use super::{all_passes, Analysis, Pass};
 
 pub struct StaleWaiver;
 
@@ -87,7 +87,7 @@ fn raw_findings(a: &Analysis) -> Vec<Violation> {
         }
         rule.check_workspace(&stripped, &mut raw);
     }
-    let b = Analysis::build(&stripped, Docs { design_md: a.docs.design_md.clone() });
+    let b = Analysis::build(&stripped);
     for pass in all_passes() {
         if pass.id() == StaleWaiver.id() {
             continue;
@@ -104,7 +104,7 @@ mod tests {
     fn run(srcs: &[(&str, &str)]) -> Vec<Violation> {
         let sources: Vec<SourceFile> =
             srcs.iter().map(|(rel, text)| SourceFile::parse(rel, text)).collect();
-        let a = Analysis::build(&sources, Docs::default());
+        let a = Analysis::build(&sources);
         let mut out = Vec::new();
         StaleWaiver.check(&a, &mut out);
         out

@@ -343,7 +343,7 @@ mod tests {
     fn rule_table_lists_passes_after_rules() {
         let table = rule_table();
         assert!(table.contains("panic-reach"));
-        assert!(table.contains("artifact-conformance"));
-        assert!(table.contains("exit 21"));
+        assert!(table.contains("stale-waiver"));
+        assert!(table.contains("exit 29"));
     }
 }

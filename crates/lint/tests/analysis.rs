@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use nls_lint::parser::FileItems;
 use nls_lint::symbols::SymbolTable;
-use nls_lint::{analyze_sources, Analysis, Docs, SourceFile};
+use nls_lint::{analyze_sources, Analysis, SourceFile};
 
 /// The mini workspace the golden files describe: two files, one impl
 /// with methods, a `Self::` call, a cross-file free call, and a
@@ -31,17 +31,17 @@ fn symbol_table_matches_the_golden_file() {
 #[test]
 fn call_graph_matches_the_golden_file() {
     let sources = mini_workspace();
-    let a = Analysis::build(&sources, Docs::default());
+    let a = Analysis::build(&sources);
     let actual = a.graph.dump(&a.files);
     let expected = include_str!("golden/callgraph.txt");
     assert_eq!(actual, expected, "\nACTUAL call graph:\n{actual}");
 }
 
 /// Runs the full analysis (rules + passes) over `files`.
-fn analyze(files: &[(&str, &str)], docs: Docs) -> nls_lint::LintReport {
+fn analyze(files: &[(&str, &str)]) -> nls_lint::LintReport {
     let parsed: Vec<SourceFile> =
         files.iter().map(|(rel, text)| SourceFile::parse(rel, text)).collect();
-    analyze_sources(&parsed, docs, None)
+    analyze_sources(&parsed, None)
 }
 
 /// Asserts the failing fixture trips only `pass` with its exit code,
@@ -59,79 +59,51 @@ fn check_pass(pass: &str, exit: u8, bad: nls_lint::LintReport, good: nls_lint::L
 #[test]
 fn panic_reach_fixtures() {
     let rel = "crates/core/src/engine.rs";
-    let bad = analyze(&[(rel, include_str!("fixtures/panic_reach_bad.rs"))], Docs::default());
+    let bad = analyze(&[(rel, include_str!("fixtures/panic_reach_bad.rs"))]);
     assert!(
         bad.violations.iter().any(|v| v.message.contains("->")),
         "finding must carry a witness path: {:?}",
         bad.violations
     );
-    let good = analyze(&[(rel, include_str!("fixtures/panic_reach_good.rs"))], Docs::default());
+    let good = analyze(&[(rel, include_str!("fixtures/panic_reach_good.rs"))]);
     check_pass("panic-reach", 18, bad, good);
 }
 
 #[test]
 fn determinism_fixtures() {
     let rel = "crates/core/src/metrics.rs";
-    let bad = analyze(&[(rel, include_str!("fixtures/determinism_bad.rs"))], Docs::default());
-    let good = analyze(&[(rel, include_str!("fixtures/determinism_good.rs"))], Docs::default());
+    let bad = analyze(&[(rel, include_str!("fixtures/determinism_bad.rs"))]);
+    let good = analyze(&[(rel, include_str!("fixtures/determinism_good.rs"))]);
     check_pass("determinism", 19, bad, good);
-}
-
-#[test]
-fn unit_safety_fixtures() {
-    let rel = "crates/cost/src/fixture.rs";
-    let bad = analyze(&[(rel, include_str!("fixtures/unit_safety_bad.rs"))], Docs::default());
-    let good = analyze(&[(rel, include_str!("fixtures/unit_safety_good.rs"))], Docs::default());
-    check_pass("unit-safety", 20, bad, good);
-}
-
-#[test]
-fn artifact_fixtures() {
-    let orphan = ("crates/bench/src/bin/fig9_orphan.rs", "fn main() {}\n");
-    let registry = "crates/bench/src/bin/repro_all.rs";
-    let bad = analyze(
-        &[orphan, (registry, include_str!("fixtures/artifact_registry_bad.rs"))],
-        Docs { design_md: String::new() },
-    );
-    let good = analyze(
-        &[orphan, (registry, include_str!("fixtures/artifact_registry_good.rs"))],
-        Docs {
-            design_md: "- `fig9_orphan` — Fig 9, orphan sensitivity sweep.\n".to_string()
-        },
-    );
-    check_pass("artifact-conformance", 21, bad, good);
 }
 
 #[test]
 fn atomics_discipline_fixtures() {
     let rel = "crates/core/src/budget.rs";
-    let bad =
-        analyze(&[(rel, include_str!("fixtures/atomics_discipline_bad.rs"))], Docs::default());
+    let bad = analyze(&[(rel, include_str!("fixtures/atomics_discipline_bad.rs"))]);
     // Relaxed flag load + mixed orderings + relaxed RMW gate.
     assert_eq!(bad.violations.len(), 3, "{:?}", bad.violations);
-    let good =
-        analyze(&[(rel, include_str!("fixtures/atomics_discipline_good.rs"))], Docs::default());
+    let good = analyze(&[(rel, include_str!("fixtures/atomics_discipline_good.rs"))]);
     check_pass("atomics-discipline", 23, bad, good);
 }
 
 #[test]
 fn signal_safety_fixtures() {
     let rel = "crates/core/src/supervisor.rs";
-    let bad = analyze(&[(rel, include_str!("fixtures/signal_safety_bad.rs"))], Docs::default());
+    let bad = analyze(&[(rel, include_str!("fixtures/signal_safety_bad.rs"))]);
     assert!(
         bad.violations.iter().any(|v| v.message.contains("on_signal -> note_signal")),
         "finding must carry the handler path: {:?}",
         bad.violations
     );
-    let good =
-        analyze(&[(rel, include_str!("fixtures/signal_safety_good.rs"))], Docs::default());
+    let good = analyze(&[(rel, include_str!("fixtures/signal_safety_good.rs"))]);
     check_pass("signal-safety", 24, bad, good);
 }
 
 #[test]
 fn fs_durability_fixtures() {
     let rel = "crates/core/src/ledger.rs";
-    let bad = analyze(&[(rel, include_str!("fixtures/fs_durability_bad.rs"))], Docs::default());
+    let bad = analyze(&[(rel, include_str!("fixtures/fs_durability_bad.rs"))]);
     // The in-place write and the unsynced rename are separate findings.
     assert!(
         bad.violations.iter().any(|v| v.message.contains("write_atomic"))
@@ -139,18 +111,14 @@ fn fs_durability_fixtures() {
         "{:?}",
         bad.violations
     );
-    let good =
-        analyze(&[(rel, include_str!("fixtures/fs_durability_good.rs"))], Docs::default());
+    let good = analyze(&[(rel, include_str!("fixtures/fs_durability_good.rs"))]);
     check_pass("fs-durability", 25, bad, good);
 }
 
 #[test]
 fn fs_durability_append_fixtures() {
     let rel = "crates/core/src/ledger.rs";
-    let bad = analyze(
-        &[(rel, include_str!("fixtures/fs_durability_append_bad.rs"))],
-        Docs::default(),
-    );
+    let bad = analyze(&[(rel, include_str!("fixtures/fs_durability_append_bad.rs"))]);
     // The never-synced append and the early return are separate findings.
     assert_eq!(bad.violations.len(), 2, "{:?}", bad.violations);
     assert!(
@@ -158,35 +126,27 @@ fn fs_durability_append_fixtures() {
         "{:?}",
         bad.violations
     );
-    let good = analyze(
-        &[(rel, include_str!("fixtures/fs_durability_append_good.rs"))],
-        Docs::default(),
-    );
+    let good = analyze(&[(rel, include_str!("fixtures/fs_durability_append_good.rs"))]);
     check_pass("fs-durability", 25, bad, good);
 }
 
 #[test]
 fn hot_path_alloc_fixtures() {
     let rel = "crates/core/src/engine.rs";
-    let bad =
-        analyze(&[(rel, include_str!("fixtures/hot_path_alloc_bad.rs"))], Docs::default());
+    let bad = analyze(&[(rel, include_str!("fixtures/hot_path_alloc_bad.rs"))]);
     assert!(
         bad.violations.iter().any(|v| v.message.contains("Engine::step -> Engine::note")),
         "finding must carry the hot-path witness: {:?}",
         bad.violations
     );
-    let good =
-        analyze(&[(rel, include_str!("fixtures/hot_path_alloc_good.rs"))], Docs::default());
+    let good = analyze(&[(rel, include_str!("fixtures/hot_path_alloc_good.rs"))]);
     check_pass("hot-path-alloc", 26, bad, good);
 }
 
 #[test]
 fn hot_path_alloc_covers_the_front_end() {
     let rel = "crates/core/src/front_end.rs";
-    let bad = analyze(
-        &[(rel, include_str!("fixtures/hot_path_alloc_front_end_bad.rs"))],
-        Docs::default(),
-    );
+    let bad = analyze(&[(rel, include_str!("fixtures/hot_path_alloc_front_end_bad.rs"))]);
     assert!(
         bad.violations.iter().any(|v| v.rule == "hot-path-alloc"
             && v.message.contains("FrontEnd::step_block -> FrontEnd::fetch")),
@@ -224,10 +184,7 @@ fn hot_path_alloc_scans_the_engine_hooks_the_front_end_reaches() {
              }}\n\
              }}\n"
         );
-        let report = analyze(
-            &[("crates/core/src/front_end.rs", front_end), (&rel, &engine)],
-            Docs::default(),
-        );
+        let report = analyze(&[("crates/core/src/front_end.rs", front_end), (&rel, &engine)]);
         let witness = format!("CellHalf::step_block -> {core}::resolve");
         assert!(
             report.violations.iter().any(|v| v.rule == "hot-path-alloc"
@@ -242,21 +199,21 @@ fn hot_path_alloc_scans_the_engine_hooks_the_front_end_reaches() {
 #[test]
 fn lock_order_fixtures() {
     let rel = "crates/core/src/state.rs";
-    let bad = analyze(&[(rel, include_str!("fixtures/lock_order_bad.rs"))], Docs::default());
+    let bad = analyze(&[(rel, include_str!("fixtures/lock_order_bad.rs"))]);
     assert!(
         bad.violations.iter().any(|v| v.message.contains("held across"))
             && bad.violations.iter().any(|v| v.message.contains("lock-order cycle")),
         "{:?}",
         bad.violations
     );
-    let good = analyze(&[(rel, include_str!("fixtures/lock_order_good.rs"))], Docs::default());
+    let good = analyze(&[(rel, include_str!("fixtures/lock_order_good.rs"))]);
     check_pass("lock-order", 27, bad, good);
 }
 
 #[test]
 fn condvar_wait_fixtures() {
     let rel = "crates/core/src/state.rs";
-    let bad = analyze(&[(rel, include_str!("fixtures/condvar_wait_bad.rs"))], Docs::default());
+    let bad = analyze(&[(rel, include_str!("fixtures/condvar_wait_bad.rs"))]);
     assert!(
         bad.violations
             .iter()
@@ -269,15 +226,14 @@ fn condvar_wait_fixtures() {
         "the guard handed to the wait is released by it: {:?}",
         bad.violations
     );
-    let good =
-        analyze(&[(rel, include_str!("fixtures/condvar_wait_good.rs"))], Docs::default());
+    let good = analyze(&[(rel, include_str!("fixtures/condvar_wait_good.rs"))]);
     check_pass("lock-order", 27, bad, good);
 }
 
 #[test]
 fn resource_leak_fixtures() {
     let rel = "crates/core/src/worker.rs";
-    let bad = analyze(&[(rel, include_str!("fixtures/resource_leak_bad.rs"))], Docs::default());
+    let bad = analyze(&[(rel, include_str!("fixtures/resource_leak_bad.rs"))]);
     // The leaked lease and the stranded tmp are separate findings.
     assert!(
         bad.violations.iter().any(|v| v.message.contains("lease"))
@@ -285,30 +241,26 @@ fn resource_leak_fixtures() {
         "{:?}",
         bad.violations
     );
-    let good =
-        analyze(&[(rel, include_str!("fixtures/resource_leak_good.rs"))], Docs::default());
+    let good = analyze(&[(rel, include_str!("fixtures/resource_leak_good.rs"))]);
     check_pass("resource-leak", 28, bad, good);
 }
 
 #[test]
 fn stale_waiver_fixtures() {
     let rel = "crates/core/src/metrics.rs";
-    let bad = analyze(&[(rel, include_str!("fixtures/stale_waiver_bad.rs"))], Docs::default());
-    let good =
-        analyze(&[(rel, include_str!("fixtures/stale_waiver_good.rs"))], Docs::default());
+    let bad = analyze(&[(rel, include_str!("fixtures/stale_waiver_bad.rs"))]);
+    let good = analyze(&[(rel, include_str!("fixtures/stale_waiver_good.rs"))]);
     check_pass("stale-waiver", 29, bad, good);
 }
 
 #[test]
 fn let_else_and_labeled_loops_analyze_clean() {
     // Parser regression: let-else and labeled loops must survive the
-    // full twelve-pass run without findings (the labeled loop is a
+    // full ten-pass run without findings (the labeled loop is a
     // polled supervision root; the let-else else-block is a lease
     // release path).
-    let report = analyze(
-        &[("crates/core/src/sweep.rs", include_str!("fixtures/parser_edge_good.rs"))],
-        Docs::default(),
-    );
+    let report =
+        analyze(&[("crates/core/src/sweep.rs", include_str!("fixtures/parser_edge_good.rs"))]);
     assert_eq!(report.violations, vec![], "parser-edge fixture is not clean");
     assert_eq!(report.exit_code(), 0);
 }
@@ -321,13 +273,10 @@ fn lockleak_witness_paths_match_the_golden_file() {
     // leaked on a `?` path (resource-leak, with the escaping blocks
     // as witness steps). The golden file pins both findings AND
     // their full witness paths.
-    let report = analyze(
-        &[
-            ("crates/core/src/state.rs", include_str!("fixtures/lockleak/state.rs")),
-            ("crates/core/src/worker.rs", include_str!("fixtures/lockleak/worker.rs")),
-        ],
-        Docs::default(),
-    );
+    let report = analyze(&[
+        ("crates/core/src/state.rs", include_str!("fixtures/lockleak/state.rs")),
+        ("crates/core/src/worker.rs", include_str!("fixtures/lockleak/worker.rs")),
+    ]);
     let actual = nls_lint::render(&report, nls_lint::Format::Human);
     let expected = include_str!("golden/lockleak.txt");
     assert_eq!(actual, expected, "\nACTUAL findings with witness paths:\n{actual}");
@@ -341,13 +290,10 @@ fn heartbeat_witness_path_matches_the_golden_file() {
     // (atomics-discipline, with the decl site cross-referenced) and
     // the SIGINT handler reaches the heartbeat's format machinery
     // (signal-safety, with a cross-file witness path).
-    let report = analyze(
-        &[
-            ("crates/core/src/ledger.rs", include_str!("fixtures/heartbeat/ledger.rs")),
-            ("crates/core/src/supervisor.rs", include_str!("fixtures/heartbeat/supervisor.rs")),
-        ],
-        Docs::default(),
-    );
+    let report = analyze(&[
+        ("crates/core/src/ledger.rs", include_str!("fixtures/heartbeat/ledger.rs")),
+        ("crates/core/src/supervisor.rs", include_str!("fixtures/heartbeat/supervisor.rs")),
+    ]);
     let actual = nls_lint::render(&report, nls_lint::Format::Human);
     let expected = include_str!("golden/heartbeat.txt");
     assert_eq!(actual, expected, "\nACTUAL report:\n{actual}");

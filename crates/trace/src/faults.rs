@@ -280,11 +280,19 @@ impl ChaosScheduler {
         RuntimeFault::WorkerKill { victim }
     }
 
-    /// A plan of `kills` seeded [`RuntimeFault::WorkerKill`]s against
-    /// a pool of `workers`, in draw order. Like every chaos plan,
-    /// identical seeds produce identical kill plans.
+    /// A plan of seeded [`RuntimeFault::WorkerKill`]s against `kills`
+    /// distinct workers of a pool of `workers`, in draw order: never
+    /// worker 0, so at most `workers - 1` of them. Like every chaos
+    /// plan, identical seeds produce identical kill plans.
     pub fn kill_plan(&mut self, workers: u64, kills: usize) -> Vec<RuntimeFault> {
-        (0..kills).map(|_| self.worker_kill(workers)).collect()
+        let mut pool: Vec<u64> = (1..workers).collect();
+        let kills = kills.min(pool.len());
+        (0..kills)
+            .map(|_| {
+                let victim = pool.swap_remove(self.pick(pool.len() as u64) as usize);
+                RuntimeFault::WorkerKill { victim }
+            })
+            .collect()
     }
 
     /// A plan of `stalls` seeded [`RuntimeFault::ClientStall`]s:
@@ -491,17 +499,21 @@ mod tests {
 
     #[test]
     fn kill_plans_are_reproducible_and_spare_worker_zero() {
-        let a = ChaosScheduler::new(7).kill_plan(4, 6);
-        let b = ChaosScheduler::new(7).kill_plan(4, 6);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 6);
-        for fault in &a {
-            match fault {
-                RuntimeFault::WorkerKill { victim } => {
-                    assert!((1..4).contains(victim), "worker 0 must always survive");
-                }
-                other => panic!("kill plans hold only WorkerKill faults, got {other:?}"),
-            }
+        for (seed, workers, kills) in [(7, 4, 3), (7, 8, 6), (9, 4, 2), (5, 4, 2), (3, 4, 6)] {
+            let a = ChaosScheduler::new(seed).kill_plan(workers, kills);
+            assert_eq!(a, ChaosScheduler::new(seed).kill_plan(workers, kills));
+            let mut victims: Vec<u64> = a
+                .iter()
+                .map(|fault| match fault {
+                    RuntimeFault::WorkerKill { victim } => *victim,
+                    other => panic!("kill plans hold only WorkerKill faults, got {other:?}"),
+                })
+                .collect();
+            assert!(victims.iter().all(|v| (1..workers).contains(v)), "worker 0 must survive");
+            victims.sort_unstable();
+            victims.dedup();
+            let want = kills.min(workers as usize - 1);
+            assert_eq!(victims.len(), want, "seed {seed}: {want} distinct victims in {a:?}");
         }
     }
 

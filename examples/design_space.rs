@@ -12,6 +12,7 @@
 
 use nextline::core::{average, cross, run_sweep, EngineSpec, PenaltyModel, SweepConfig};
 use nextline::cost::rbe::{btb_rbe, nls_table_rbe, CacheGeometry};
+use nextline::cost::Rbe;
 use nextline::icache::CacheConfig;
 use nextline::trace::BenchProfile;
 
@@ -35,7 +36,7 @@ fn main() {
     let m = PenaltyModel::paper();
 
     println!("design point                RBE cost   avg BEP   avg %MfB");
-    let mut frontier: Vec<(String, f64, f64)> = Vec::new();
+    let mut frontier: Vec<(String, Rbe, f64)> = Vec::new();
     for spec in &engines {
         let label = spec.label();
         let per: Vec<_> = results.iter().filter(|r| r.engine == label).cloned().collect();

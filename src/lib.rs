@@ -54,7 +54,7 @@ pub mod core {
 
 /// Cost models: RBE area and access time (re-export of [`nls_cost`]).
 pub mod cost {
-    pub use nls_cost::{access_time, rbe};
+    pub use nls_cost::{access_time, rbe, Nanos, Rbe};
 }
 
 /// Instruction-cache simulation (re-export of [`nls_icache`]).
